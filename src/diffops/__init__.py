@@ -5,10 +5,8 @@ independent truncated pseudo-differential oracle."""
 from .basis import (
     AlmostCommutingResult,
     BracketSystem,
-    TriangularSolution,
     almost_commuting,
     almost_commuting_basis,
-    bracket_recursive,
     bracket_system,
     generic_L,
     generic_P,
@@ -45,9 +43,6 @@ from .pseudo import (
     InsufficientDepthError,
     TruncatedPDO,
     nth_root,
-    pdo_mul,
-    pdo_power,
-    positive_part,
 )
 
 __version__ = "0.1.0"
@@ -65,14 +60,12 @@ __all__ = [
     "NotTotalDerivativeError",
     "RecursionOperator",
     "ResultCache",
-    "TriangularSolution",
     "TruncatedPDO",
     "VarId",
     "almost_commuting",
     "almost_commuting_basis",
     "antiderivative",
     "antiderivative_by_ansatz",
-    "bracket_recursive",
     "bracket_system",
     "c",
     "commutator",
@@ -84,9 +77,6 @@ __all__ = [
     "kdv_recursion_operator",
     "kdv_sequence",
     "nth_root",
-    "pdo_mul",
-    "pdo_power",
-    "positive_part",
     "solve_triangular",
     "stationary_equations",
     "u",

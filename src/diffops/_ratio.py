@@ -14,11 +14,3 @@ except ImportError:  # pragma: no cover
 ZERO = Rational(0)
 ONE = Rational(1)
 
-
-def rational_str(c) -> str:
-    """Decimal-free text form: '5', '-5' or 'p/q'."""
-    return str(c)
-
-
-def parse_rational(text: str):
-    return Rational(text)

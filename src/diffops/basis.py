@@ -29,8 +29,6 @@ from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator, commutator
 from .polynomials import DiffPolynomial, Y_FAMILY, u, y
 
-_D = DiffOperator.d
-
 
 def generic_L(n: int) -> DiffOperator:
     """The generic normal-form operator of order n over u_2..u_n."""
@@ -58,26 +56,13 @@ class BracketSystem:
 
     ``equations[k]`` is the coefficient of d^{n+m-3-k}, i.e. the equation
     whose leading part is n * y_{k+2}'; there are m - 1 of them, covering
-    the powers n+m-3 down to n-1.
+    the powers n+m-3 down to n-1 (none at m = 1).
     """
 
     n: int
     m: int
     full_bracket: DiffOperator
     equations: tuple
-
-
-@dataclass(frozen=True)
-class TriangularSolution:
-    """The weighted solution: assignments y_i -> q_i in Q{U}, i = 2..m."""
-
-    assignments: dict
-
-    def __getitem__(self, index: int) -> DiffPolynomial:
-        return self.assignments[index]
-
-    def items(self):
-        return self.assignments.items()
 
 
 @dataclass(frozen=True)
@@ -90,49 +75,22 @@ class AlmostCommutingResult:
     H: tuple
 
 
-def _system_from_bracket(n: int, m: int, full: DiffOperator) -> BracketSystem:
+def bracket_system(n: int, m: int) -> BracketSystem:
+    """Build [L, P~_m] and extract the triangular system."""
+    if n < 2 or m < 1:
+        raise ValueError("bracket systems need n >= 2 and m >= 1")
+    full = commutator(generic_L(n), generic_P(m))
     equations = tuple(
         full.coefficient_at(power) for power in range(n + m - 3, n - 2, -1)
     )
     return BracketSystem(n=n, m=m, full_bracket=full, equations=equations)
 
 
-def bracket_system(n: int, m: int) -> BracketSystem:
-    """Build [L, P~_m] and extract the triangular system."""
-    if n < 2 or m < 2:
-        raise ValueError("bracket systems need n >= 2 and m >= 2")
-    full = commutator(generic_L(n), generic_P(m))
-    return _system_from_bracket(n, m, full)
-
-
-def bracket_recursive(n: int, max_m: int) -> list:
-    """All brackets [L, P~_m] for m = 2..max_m, built incrementally.
-
-    Uses [L, P~_{l+1}] = [L, P~_l] d + P~_l [L, d] + [L, y_{l+1}], so the
-    incremental cost per level is one small product instead of a fresh
-    full commutator.
-    """
-    if n < 2 or max_m < 2:
-        raise ValueError("bracket recursion needs n >= 2 and max_m >= 2")
-    L = generic_L(n)
-    bracket_d = commutator(L, _D())
-    brackets = []
-    p_prev = _D()
-    prev = bracket_d
-    for l in range(1, max_m):
-        y_next = DiffOperator.from_coeffs([y(l + 1)])
-        nxt = prev.times_d() + p_prev * bracket_d + commutator(L, y_next)
-        brackets.append(nxt)
-        p_prev = p_prev.times_d() + y_next
-        prev = nxt
-    return brackets
-
-
 def solve_triangular(
     system: BracketSystem,
     on_step: Callable[[int, DiffPolynomial, DiffPolynomial], None] | None = None,
-) -> TriangularSolution:
-    """The unique weighted solution of the bracket system.
+) -> dict:
+    """The unique weighted solution {i: q_i} of the bracket system.
 
     Equations are consumed in ascending order of the solved variable
     (y_2 first); each step substitutes the solution found so far, strips
@@ -167,14 +125,14 @@ def solve_triangular(
         if on_step is not None:
             on_step(index, rest, q_index)
         assignments[index] = q_index
-    return TriangularSolution(assignments)
+    return assignments
 
 
 def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
     """P_m and the hierarchy polynomials for the order-n generic operator.
 
-    m = 1 short-circuits to P_1 = d.  When n divides m the computation
-    degenerates gracefully: P_m = L^{m/n} and every H vanishes.
+    At m = 1 the system is empty and P_1 = d.  When n divides m the
+    computation degenerates gracefully: P_m = L^{m/n} and every H vanishes.
     """
     if n < 2:
         raise ValueError("the operator order must be at least 2")
@@ -184,51 +142,22 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
         hit = cache.get(n, m)
         if hit is not None:
             return hit
-    if m == 1:
-        full = commutator(generic_L(n), _D())
-        result = AlmostCommutingResult(
-            n=n,
-            m=1,
-            P=_D(),
-            H=tuple(-full.coefficient_at(i) for i in range(n - 1)),
-        )
-    else:
-        result = _result_from_bracket(n, m, bracket_system(n, m))
+    system = bracket_system(n, m)
+    solution = solve_triangular(system)
+    result = AlmostCommutingResult(
+        n=n,
+        m=m,
+        P=generic_P(m).evaluate(solution),
+        H=tuple(
+            -system.full_bracket.coefficient_at(i).evaluate(solution)
+            for i in range(n - 1)
+        ),
+    )
     if cache is not None:
         cache.put(n, m, result)
     return result
 
 
-def _result_from_bracket(n: int, m: int, system: BracketSystem) -> AlmostCommutingResult:
-    solution = solve_triangular(system)
-    p_m = generic_P(m).evaluate(solution.assignments)
-    hierarchy = tuple(
-        -system.full_bracket.coefficient_at(i).evaluate(solution.assignments)
-        for i in range(n - 1)
-    )
-    return AlmostCommutingResult(n=n, m=m, P=p_m, H=hierarchy)
-
-
 def almost_commuting_basis(n: int, max_m: int, cache=None) -> list:
-    """[P_1 .. P_max_m] with hierarchy polynomials, via recursive brackets."""
-    if max_m < 1:
-        raise ValueError("the basis bound must be at least 1")
-    results = [almost_commuting(n, 1, cache=cache)]
-    if max_m == 1:
-        return results
-    pending = [
-        m for m in range(2, max_m + 1) if cache is None or cache.get(n, m) is None
-    ]
-    brackets = {}
-    if pending:
-        all_brackets = bracket_recursive(n, max(pending))
-        brackets = {m: all_brackets[m - 2] for m in pending}
-    for m in range(2, max_m + 1):
-        if m in brackets:
-            result = _result_from_bracket(n, m, _system_from_bracket(n, m, brackets[m]))
-            if cache is not None:
-                cache.put(n, m, result)
-        else:
-            result = almost_commuting(n, m, cache=cache)
-        results.append(result)
-    return results
+    """[P_1 .. P_max_m] with hierarchy polynomials, one almost_commuting call each."""
+    return [almost_commuting(n, m, cache=cache) for m in range(1, max_m + 1)]

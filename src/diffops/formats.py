@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import json
 
-from ._ratio import parse_rational, rational_str
+from ._ratio import Rational
 from .basis import AlmostCommutingResult
-from .operators import DiffOperator
+from .operators import DiffOperator, render_terms
 from .polynomials import (
     C_FAMILY,
     DiffPolynomial,
     FAMILY_LETTERS,
     VarId,
+    render_sum,
 )
 
 FORMAT_VERSION = 1
@@ -43,7 +44,7 @@ def poly_to_json(p: DiffPolynomial) -> list:
             if family == C_FAMILY:
                 index = [index[0], index[1]]
             encoded.append([FAMILY_LETTERS[family], index, order, exp])
-        out.append({"coeff": rational_str(coeff), "monomial": encoded})
+        out.append({"coeff": str(coeff), "monomial": encoded})
     return out
 
 
@@ -56,7 +57,7 @@ def poly_from_json(data: list) -> DiffPolynomial:
             if family == C_FAMILY:
                 index = (index[0], index[1])
             mono.append((VarId(family, index, order), exp))
-        terms[tuple(sorted(mono))] = parse_rational(term["coeff"])
+        terms[tuple(sorted(mono))] = Rational(term["coeff"])
     return DiffPolynomial.from_dict(terms)
 
 
@@ -139,55 +140,19 @@ def mono_latex(mono) -> str:
 
 
 def poly_latex(p: DiffPolynomial) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for mono, coeff in p.sorted_terms():
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if not mono:
-            body = _coeff_latex(mag)
-        elif mag == 1:
-            body = mono_latex(mono)
-        else:
-            body = f"{_coeff_latex(mag)}{mono_latex(mono)}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    return render_sum(p, _coeff_latex, mono_latex, "")
+
+
+def _d_latex(power: int) -> str:
+    return "\\partial" if power == 1 else f"\\partial^{{{power}}}"
 
 
 def operator_latex(op: DiffOperator) -> str:
-    if op.is_zero():
-        return "0"
-    parts = []
-    for i in range(op.order, -1, -1):
-        coeff = op.coefficient_at(i)
-        if coeff.is_zero():
-            continue
-        dpart = "" if i == 0 else ("\\partial" if i == 1 else f"\\partial^{{{i}}}")
-        if not dpart:
-            body = poly_latex(coeff)
-        elif coeff == DiffPolynomial.one():
-            body = dpart
-        elif len(coeff) == 1:
-            body = f"{poly_latex(coeff)}{dpart}"
-        else:
-            body = f"\\left({poly_latex(coeff)}\\right){dpart}"
-        parts.append(body)
-    return " + ".join(parts)
+    terms = dict(enumerate(op.coefficients()))
+    return render_terms(terms, poly_latex, _d_latex, "", ("\\left(", "\\right)"))
 
 
-# -- plain text ---------------------------------------------------------------
-
-
-def poly_text(p: DiffPolynomial) -> str:
-    return str(p)
-
-
-def operator_text(op: DiffOperator) -> str:
-    return str(op)
+# -- dispatch ------------------------------------------------------------------
 
 
 def render_poly(p: DiffPolynomial, fmt: str) -> str:
@@ -196,7 +161,7 @@ def render_poly(p: DiffPolynomial, fmt: str) -> str:
     if fmt == "latex":
         return poly_latex(p)
     if fmt == "text":
-        return poly_text(p)
+        return str(p)
     raise ValueError(f"unknown format: {fmt}")
 
 
@@ -206,5 +171,5 @@ def render_operator(op: DiffOperator, fmt: str) -> str:
     if fmt == "latex":
         return operator_latex(op)
     if fmt == "text":
-        return operator_text(op)
+        return str(op)
     raise ValueError(f"unknown format: {fmt}")

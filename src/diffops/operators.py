@@ -12,7 +12,7 @@ sparsity lives inside the coefficients.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._ratio import Rational
 from .polynomials import (
@@ -21,6 +21,7 @@ from .polynomials import (
     _acc,
     _derive_raw,
     _mono_mul,
+    join_signed,
 )
 
 NEG_INFINITY = float("-inf")
@@ -248,24 +249,7 @@ class DiffOperator:
         return f"DiffOperator({self})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            coeff = self._coeffs[i]
-            if coeff.is_zero():
-                continue
-            dpart = "" if i == 0 else ("D" if i == 1 else f"D^{i}")
-            if not dpart:
-                body = str(coeff)
-            elif coeff == _ONE_POLY:
-                body = dpart
-            elif len(coeff) == 1:
-                body = f"{coeff}*{dpart}"
-            else:
-                body = f"({coeff})*{dpart}"
-            parts.append(body)
-        return join_signed(parts)
+        return render_terms(dict(enumerate(self._coeffs)), str, _d_text, "*", ("(", ")"))
 
 
 def _as_poly(value) -> DiffPolynomial:
@@ -274,17 +258,37 @@ def _as_poly(value) -> DiffPolynomial:
     return DiffPolynomial.constant(value)
 
 
-def join_signed(parts: Sequence[str]) -> str:
-    """Join rendered summands, folding leading minus signs into the glue."""
-    out = []
-    for part in parts:
-        if not out:
-            out.append(part)
-        elif part.startswith("-"):
-            out.append(f"- {part[1:]}")
+def _d_text(power: int) -> str:
+    return "D" if power == 1 else f"D^{power}"
+
+
+def render_terms(
+    terms: Mapping[int, DiffPolynomial],
+    poly_str: Callable[[DiffPolynomial], str],
+    dpart: Callable[[int], str],
+    times: str,
+    parens: tuple,
+) -> str:
+    """The signed sum of ``{power: coefficient}``, highest power first.
+
+    Zero coefficients are skipped, unit coefficients of d-powers elided and
+    multi-term ones wrapped in ``parens``.
+    """
+    parts = []
+    for power in sorted(terms, reverse=True):
+        coeff = terms[power]
+        if not coeff:
+            continue
+        if power == 0:
+            body = poly_str(coeff)
+        elif coeff == _ONE_POLY:
+            body = dpart(power)
+        elif len(coeff) == 1:
+            body = f"{poly_str(coeff)}{times}{dpart(power)}"
         else:
-            out.append(f"+ {part}")
-    return " ".join(out)
+            body = f"{parens[0]}{poly_str(coeff)}{parens[1]}{times}{dpart(power)}"
+        parts.append(body)
+    return join_signed(parts) if parts else "0"
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:

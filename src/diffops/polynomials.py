@@ -12,7 +12,7 @@ id, no zero exponents; polynomials store no zero coefficients.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._ratio import ONE, Rational, ZERO
 
@@ -362,10 +362,9 @@ class DiffPolynomial:
         """Differential substitution y_l^{(k)} -> derive(assignments[l], k).
 
         u- and c-variables pass through unchanged.  ``assignments`` maps
-        the integer index l of each y-variable to a DiffPolynomial; a
-        triangular solution object is accepted as well.
+        the integer index l of each y-variable to a DiffPolynomial, as
+        ``solve_triangular`` returns it.
         """
-        assignments = getattr(assignments, "assignments", assignments)
         if not self.has_family(Y_FAMILY):
             return self
         cache: dict = {}
@@ -506,21 +505,40 @@ def mono_text(mono: Mono) -> str:
     return "*".join(parts)
 
 
-def render_text(p: DiffPolynomial) -> str:
+def join_signed(parts: Sequence[str]) -> str:
+    """Join rendered summands, folding leading minus signs into the glue."""
+    out = []
+    for part in parts:
+        if not out:
+            out.append(part)
+        elif part.startswith("-"):
+            out.append(f"- {part[1:]}")
+        else:
+            out.append(f"+ {part}")
+    return " ".join(out)
+
+
+def render_sum(
+    p: DiffPolynomial,
+    coeff_str: Callable,
+    mono_str: Callable[[Mono], str],
+    times: str,
+) -> str:
+    """p as signed terms ``|c|{times}monomial``; unit coefficients are elided."""
     if p.is_zero():
         return "0"
-    chunks = []
+    parts = []
     for mono, coeff in p.sorted_terms():
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
+        mag = abs(coeff)
         if not mono:
-            body = str(mag)
+            body = coeff_str(mag)
         elif mag == 1:
-            body = mono_text(mono)
+            body = mono_str(mono)
         else:
-            body = f"{mag}*{mono_text(mono)}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+            body = f"{coeff_str(mag)}{times}{mono_str(mono)}"
+        parts.append(f"-{body}" if coeff < 0 else body)
+    return join_signed(parts)
+
+
+def render_text(p: DiffPolynomial) -> str:
+    return render_sum(p, str, mono_text, "*")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ._ratio import ONE, Rational
-from .operators import DiffOperator, _mul_into, join_signed
+from .operators import DiffOperator, _d_text, _mul_into, render_terms
 from .polynomials import DiffPolynomial, NotHomogeneousError, _derive_raw
 
 _ZERO_POLY = DiffPolynomial.zero()
@@ -221,11 +221,6 @@ class TruncatedPDO:
         }
         return TruncatedPDO(coeffs, top=top, low=min(keep_low, top), exact_tail=exact)
 
-    def mul(self, other: "TruncatedPDO", keep_depth: int) -> "TruncatedPDO":
-        if keep_depth < 0:
-            raise ValueError("keep_depth must be non-negative")
-        return self.mul_keep_low(other, -keep_depth)
-
     def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":
         """exponent-th power with per-product depth bookkeeping.
 
@@ -257,37 +252,10 @@ class TruncatedPDO:
         return f"TruncatedPDO({self})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for p in sorted(self._coeffs, reverse=True):
-            coeff = self._coeffs[p]
-            if p == 0:
-                body = str(coeff)
-            else:
-                dpart = "D" if p == 1 else f"D^{p}"
-                if coeff == _ONE_POLY:
-                    body = dpart
-                elif len(coeff) == 1:
-                    body = f"{coeff}*{dpart}"
-                else:
-                    body = f"({coeff})*{dpart}"
-            parts.append(body)
-        tail = "" if self._exact_tail else f" + O(D^{self._low - 1})"
-        return join_signed(parts) + tail
-
-
-def pdo_mul(a: TruncatedPDO, b: TruncatedPDO, keep_depth: int) -> TruncatedPDO:
-    """Product of truncated pseudo-differential operators."""
-    return a.mul(b, keep_depth)
-
-
-def pdo_power(q: TruncatedPDO, exponent: int, tail_depth: int = 0) -> TruncatedPDO:
-    return q.power(exponent, tail_depth)
-
-
-def positive_part(a: TruncatedPDO) -> DiffOperator:
-    return a.positive_part()
+        body = render_terms(self._coeffs, str, _d_text, "*", ("(", ")"))
+        if self._exact_tail or not self._coeffs:
+            return body
+        return f"{body} + O(D^{self._low - 1})"
 
 
 def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:

@@ -6,6 +6,7 @@ import os
 from diffops.basis import almost_commuting
 from diffops.cache import CACHE_ENV_VAR, ResultCache, default_cache_root
 from diffops.formats import FORMAT_VERSION
+from diffops.hierarchy import gd_equations
 
 
 def test_put_get_round_trip(tmp_path):
@@ -133,6 +134,21 @@ def test_basis_reuses_cache(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("cache hit must not recompute")
 
-    monkeypatch.setattr(basis_module, "_result_from_bracket", boom)
+    monkeypatch.setattr(basis_module, "solve_triangular", boom)
     second = basis_module.almost_commuting(3, 4, cache=cache)
     assert second.P == first.P and second.H == first.H
+
+
+def test_warm_basis_reads_each_entry_once(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    gd_equations(5, 9, cache=cache)
+    reads = []
+    get = ResultCache.get
+
+    def counting_get(self, n, m):
+        reads.append((n, m))
+        return get(self, n, m)
+
+    monkeypatch.setattr(ResultCache, "get", counting_get)
+    gd_equations(5, 9, cache=cache)
+    assert reads == [(5, m) for m in range(1, 10)]

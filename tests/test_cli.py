@@ -59,7 +59,7 @@ class TestBasisCommand:
         def boom(*args, **kwargs):
             raise AssertionError("expected a cache hit, not a recomputation")
 
-        monkeypatch.setattr(basis_module, "_result_from_bracket", boom)
+        monkeypatch.setattr(basis_module, "solve_triangular", boom)
         assert run("basis", "--n", "3", "--m", "4", "--out", str(out2), "--quiet") == 0
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -89,6 +89,8 @@ class TestLatex:
     def test_operator_layout(self):
         p2 = almost_commuting(3, 2).P
         assert operator_latex(p2) == "\\partial^{2} + \\frac{2}{3}u_2"
+        minus = DiffOperator.from_dict({2: 1, 0: -u(2)})
+        assert operator_latex(minus) == "\\partial^{2} - u_2"
 
     def test_multiterm_coefficient_wrapped(self):
         op = DiffOperator.from_dict({1: u(2, 1) + u(3), 0: u(2)})

@@ -9,9 +9,6 @@ from diffops.pseudo import (
     InsufficientDepthError,
     TruncatedPDO,
     nth_root,
-    pdo_mul,
-    pdo_power,
-    positive_part,
 )
 
 D = DiffOperator.d
@@ -37,15 +34,15 @@ def as_pdo(op: DiffOperator) -> TruncatedPDO:
 class TestCommutationExpansion:
     def test_d_inverse_against_multiplication(self):
         # d^{-1} u2 = u2 d^{-1} - u2' d^{-2} + u2'' d^{-3} - ...
-        result = pdo_mul(d_inverse(), as_pdo(DiffOperator.from_coeffs([u(2)])), 3)
+        result = d_inverse().mul_keep_low(as_pdo(DiffOperator.from_coeffs([u(2)])), -3)
         assert result.coefficient_at(-1) == u(2)
         assert result.coefficient_at(-2) == -u(2, 1)
         assert result.coefficient_at(-3) == u(2, 2)
         assert result.low == -3 and result.truncated
 
     def test_d_inverse_is_two_sided_inverse(self):
-        lhs = pdo_mul(as_pdo(D()), d_inverse(), 2)
-        rhs = pdo_mul(d_inverse(), as_pdo(D()), 2)
+        lhs = as_pdo(D()).mul_keep_low(d_inverse(), -2)
+        rhs = d_inverse().mul_keep_low(as_pdo(D()), -2)
         one = as_pdo(DiffOperator.one())
         assert lhs.positive_part() == DiffOperator.one()
         assert rhs.positive_part() == DiffOperator.one()
@@ -56,7 +53,7 @@ class TestCommutationExpansion:
     def test_differential_operator_products_match_ring(self):
         a = L(3)
         b = DiffOperator.from_dict({2: 1, 0: u(2)})
-        via_pdo = pdo_mul(as_pdo(a), as_pdo(b), 0)
+        via_pdo = as_pdo(a).mul_keep_low(as_pdo(b), 0)
         direct = a * b
         assert via_pdo.positive_part() == direct
 
@@ -114,12 +111,12 @@ class TestNthRoot:
 class TestPower:
     def test_positive_part_of_square(self):
         q = nth_root(L(3), 3)
-        p2 = positive_part(pdo_power(q, 2))
+        p2 = q.power(2).positive_part()
         assert p2 == DiffOperator.from_dict({2: 1, 0: Rational(2, 3) * u(2)})
 
     def test_positive_part_of_fourth_power(self):
         q = nth_root(L(3), 5)
-        p4 = positive_part(pdo_power(q, 4))
+        p4 = q.power(4).positive_part()
         expected = DiffOperator.from_dict(
             {
                 4: 1,
@@ -134,7 +131,7 @@ class TestPower:
 
     def test_nth_power_restores_operator(self):
         q = nth_root(L(4), 5)
-        assert positive_part(pdo_power(q, 4)) == L(4)
+        assert q.power(4).positive_part() == L(4)
 
     def test_homogeneity_of_powers(self):
         q = nth_root(L(3), 6)
@@ -145,23 +142,23 @@ class TestPower:
     def test_depth_bookkeeping_rejects_shallow_roots(self):
         q = nth_root(L(3), 2)
         with pytest.raises(InsufficientDepthError):
-            pdo_power(q, 5)
+            q.power(5)
 
     def test_depth_stability(self):
         # the positive part must not depend on extra tail depth
         for m in (4, 5, 7):
-            shallow = positive_part(pdo_power(nth_root(L(3), m - 1), m))
-            deep = positive_part(pdo_power(nth_root(L(3), m + 2), m))
+            shallow = nth_root(L(3), m - 1).power(m).positive_part()
+            deep = nth_root(L(3), m + 2).power(m).positive_part()
             assert shallow == deep
 
 
 class TestPositivePart:
     def test_of_root_is_d(self):
-        assert positive_part(nth_root(L(3), 2)) == D()
+        assert nth_root(L(3), 2).positive_part() == D()
 
     def test_of_negative_tail_is_zero(self):
         tail = TruncatedPDO({-1: u(2)}, top=-1, low=-1, exact_tail=True)
-        assert positive_part(tail).is_zero()
+        assert tail.positive_part().is_zero()
 
     def test_truncation_flag_round_trip(self):
         q = nth_root(L(2), 3)
