@@ -144,14 +144,14 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
             return hit
     system = bracket_system(n, m)
     solution = solve_triangular(system)
+    # [P_m, L] = -[L, P_m]: H is the negated low band d^0..d^(n-2)
+    low_band = DiffOperator.from_coeffs(system.full_bracket.coefficients()[: n - 1])
+    H = -low_band.evaluate(solution)
     result = AlmostCommutingResult(
         n=n,
         m=m,
         P=generic_P(m).evaluate(solution),
-        H=tuple(
-            -system.full_bracket.coefficient_at(i).evaluate(solution)
-            for i in range(n - 1)
-        ),
+        H=tuple(H.coefficient_at(i) for i in range(n - 1)),
     )
     if cache is not None:
         cache.put(n, m, result)

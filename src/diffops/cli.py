@@ -140,6 +140,23 @@ def cmd_kdv(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
+def _operator_diff(computed, oracle) -> str:
+    """Where P_m and (Q^m)_+ first differ, and how many monomials differ."""
+    powers = range(max(computed.order, oracle.order), -1, -1)
+    pairs = [
+        (dict(computed.coefficient_at(p).items()), dict(oracle.coefficient_at(p).items()))
+        for p in powers
+    ]
+    highest = next(p for p, (a, b) in zip(powers, pairs) if a != b)
+    only_p = sum(len(a.keys() - b.keys()) for a, b in pairs)
+    only_q = sum(len(b.keys() - a.keys()) for a, b in pairs)
+    changed = sum(a[mono] != b[mono] for a, b in pairs for mono in a.keys() & b.keys())
+    return (
+        f"highest differing power d^{highest}; monomials: {only_p} only in P_m, "
+        f"{only_q} only in (Q^m)_+, {changed} with different coefficients"
+    )
+
+
 def cmd_verify(args) -> int:
     n, max_m = args.n, args.max_m
     t0 = time.perf_counter()
@@ -164,6 +181,8 @@ def cmd_verify(args) -> int:
             f"(n={n}, m={m}) {'PASS' if ok else 'FAIL'} "
             f"[triangular {direct_seconds:.3f}s, pseudo-differential {oracle_seconds:.3f}s]"
         )
+        if not ok:
+            print(f"  {_operator_diff(computed, oracle)}")
     if failures:
         print(f"{failures}/{max_m} mismatches", file=sys.stderr)
         return 2

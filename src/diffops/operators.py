@@ -18,24 +18,16 @@ from ._ratio import Rational
 from .polynomials import (
     DiffPolynomial,
     NotHomogeneousError,
-    _acc,
     _derive_raw,
-    _mono_mul,
+    _mul_into,
     join_signed,
+    substitute,
 )
 
 NEG_INFINITY = float("-inf")
 
 _ZERO_POLY = DiffPolynomial.zero()
 _ONE_POLY = DiffPolynomial.one()
-
-
-def _mul_into(dst: dict, a: dict, b: dict, scale) -> None:
-    """dst += scale * a * b on raw term dicts."""
-    for ma, ca in a.items():
-        cs = ca * scale
-        for mb, cb in b.items():
-            _acc(dst, _mono_mul(ma, mb), cs * cb)
 
 
 class DiffOperator:
@@ -238,10 +230,11 @@ class DiffOperator:
         return out
 
     def evaluate(self, assignments: Mapping) -> "DiffOperator":
-        """Coefficient-wise differential substitution of y-variables."""
-        return DiffOperator.from_coeffs(
-            c.evaluate(assignments) for c in self._coeffs
-        )
+        """Coefficient-wise differential substitution of y-variables.
+
+        All coefficients share one derivative table (see ``substitute``).
+        """
+        return DiffOperator.from_coeffs(substitute(self._coeffs, assignments))
 
     # -- rendering -----------------------------------------------------------
 

@@ -155,6 +155,14 @@ def _mul_raw(a: dict, b: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def _mul_into(dst: dict, a: dict, b: dict, scale) -> None:
+    """dst += scale * a * b on raw term dicts."""
+    for ma, ca in a.items():
+        cs = ca * scale
+        for mb, cb in b.items():
+            _acc(dst, _mono_mul(ma, mb), cs * cb)
+
+
 def _derive_raw(terms: dict) -> dict:
     out: dict = {}
     for mono, coeff in terms.items():
@@ -363,42 +371,10 @@ class DiffPolynomial:
 
         u- and c-variables pass through unchanged.  ``assignments`` maps
         the integer index l of each y-variable to a DiffPolynomial, as
-        ``solve_triangular`` returns it.
+        ``solve_triangular`` returns it.  The one-polynomial case of
+        ``substitute``.
         """
-        if not self.has_family(Y_FAMILY):
-            return self
-        cache: dict = {}
-
-        def replacement(l: int, k: int) -> dict:
-            got = cache.get((l, k))
-            if got is None:
-                base = assignments.get(l)
-                if base is None:
-                    raise IncompleteSolutionError(l)
-                got = base.derive(k)._terms
-                cache[(l, k)] = got
-            return got
-
-        out: dict = {}
-        for mono, coeff in self._terms.items():
-            kept = []
-            ys = []
-            for vid, exp in mono:
-                if vid[0] == Y_FAMILY:
-                    ys.append((vid, exp))
-                else:
-                    kept.append((vid, exp))
-            if not ys:
-                _acc(out, mono, coeff)
-                continue
-            prod = {tuple(kept): coeff}
-            for vid, exp in ys:
-                q = replacement(vid[1], vid[2])
-                for _ in range(exp):
-                    prod = _mul_raw(prod, q)
-            for m, c in prod.items():
-                _acc(out, m, c)
-        return DiffPolynomial(out)
+        return substitute((self,), assignments)[0]
 
     # -- rendering ------------------------------------------------------
 
@@ -407,6 +383,39 @@ class DiffPolynomial:
 
     def __str__(self) -> str:
         return render_text(self)
+
+
+def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> list:
+    """``p.evaluate(assignments)`` for every p of ``polys``, in one pass.
+
+    All polynomials share one derivative table that builds q_l^{(k)} from
+    q_l^{(k-1)}, so each (l, k) is derived at most once; the table lives
+    for this call only.
+    """
+    table: dict = {}  # l -> [q_l, q_l', q_l'', ...]
+
+    def replacement(vid) -> dict:
+        derivs = table.get(vid[1])
+        if derivs is None:
+            if vid[1] not in assignments:
+                raise IncompleteSolutionError(vid[1])
+            derivs = table[vid[1]] = [assignments[vid[1]]._terms]
+        while len(derivs) <= vid[2]:
+            derivs.append(_derive_raw(derivs[-1]))
+        return derivs[vid[2]]
+
+    results = []
+    for poly in polys:
+        out: dict = {}
+        for mono, coeff in poly._terms.items():
+            prod = {tuple(f for f in mono if f[0][0] != Y_FAMILY): coeff}
+            factors = [replacement(v) for v, e in mono if v[0] == Y_FAMILY for _ in range(e)]
+            for q in factors[:-1]:
+                prod = _mul_raw(prod, q)
+            # the last factor goes straight into ``out``
+            _mul_into(out, prod, factors[-1] if factors else {(): ONE}, ONE)
+        results.append(DiffPolynomial(out))
+    return results
 
 
 def _coerce(value) -> "DiffPolynomial":

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from ._ratio import ONE, Rational
-from .operators import DiffOperator, _d_text, _mul_into, render_terms
-from .polynomials import DiffPolynomial, NotHomogeneousError, _derive_raw
+from .operators import DiffOperator, _d_text, render_terms
+from .polynomials import DiffPolynomial, NotHomogeneousError, _derive_raw, _mul_into
 
 _ZERO_POLY = DiffPolynomial.zero()
 _ONE_POLY = DiffPolynomial.one()

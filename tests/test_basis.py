@@ -5,6 +5,7 @@ import random
 import pytest
 
 import golden
+from diffops import polynomials
 from diffops._ratio import Rational as Q
 from diffops.basis import (
     almost_commuting,
@@ -16,7 +17,8 @@ from diffops.basis import (
 )
 from diffops.integration import antiderivative, antiderivative_by_ansatz
 from diffops.operators import DiffOperator, commutator
-from diffops.polynomials import u, y
+from diffops.polynomials import Y_FAMILY, u, y
+from diffops.pseudo import TruncatedPDO, nth_root
 
 D = DiffOperator.d
 
@@ -139,11 +141,13 @@ class TestSolveTriangular:
                 assert value.weight() == index
 
     def test_solution_satisfies_every_equation(self):
-        for n, m in ((2, 5), (3, 4), (4, 6), (5, 5)):
+        for n, m in ((2, 5), (3, 4), (4, 6), (5, 5), (3, 8), (6, 8)):
             system = bracket_system(n, m)
             solution = solve_triangular(system)
             for equation in system.equations:
                 assert equation.evaluate(solution).is_zero()
+            # the same band d^(n-1)..d^(n+m-3), substituted with one shared table
+            assert system.full_bracket.evaluate(solution).order <= n - 2, (n, m)
 
     def test_step_integrands_agree_across_methods(self):
         # every intermediate integrand admits both integration routes
@@ -229,3 +233,60 @@ class TestBasis:
     def test_orders_ascend(self):
         basis = almost_commuting_basis(4, 6)
         assert [r.P.order for r in basis] == list(range(1, 7))
+
+
+class TestSubstitution:
+    def test_each_derivative_is_taken_once(self, monkeypatch):
+        # the shared table derives q_l^(k) from q_l^(k-1): one _derive_raw
+        # call per (l, k >= 1) up to the highest order of y_l in the band
+        # (42 at (7,13), where per-coefficient tables made 287 calls)
+        system = bracket_system(7, 13)
+        solution = solve_triangular(system)
+        band = DiffOperator.from_coeffs(system.full_bracket.coefficients()[:6])  # d^0..d^5
+        highest: dict = {}
+        for coeff in band.coefficients():
+            for vid in coeff.variables():
+                if vid.family == Y_FAMILY:
+                    highest[vid.index] = max(highest.get(vid.index, 0), vid.order)
+        calls = []
+        original = polynomials._derive_raw
+
+        def counting(terms):
+            calls.append(len(terms))
+            return original(terms)
+
+        monkeypatch.setattr(polynomials, "_derive_raw", counting)
+        band.evaluate(solution)
+        assert len(calls) == sum(highest.values())
+
+    def test_operator_matches_coefficient_wise(self):
+        system = bracket_system(5, 7)
+        solution = solve_triangular(system)
+        full = system.full_bracket
+        expected = [c.evaluate(solution) for c in full.coefficients()]
+        assert full.evaluate(solution) == DiffOperator.from_coeffs(expected)
+
+
+class TestHierarchyOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bracket_with_negative_part(self, n):
+        # [P_m, L] = [L, (Q^m)_-]; only d^-1..d^-n of Q^m reach d^0..d^n
+        L = generic_L(n)
+        root = nth_root(L, 8 + n)
+        as_pdo = TruncatedPDO.from_operator(L)
+        q_power = root
+        for m in range(1, 10):
+            if m > 1:
+                q_power = q_power.mul_keep_low(root, -(n + 9 - m))
+            minus = TruncatedPDO(
+                {p: q_power.coefficient_at(p) for p in range(-n, 0)},
+                top=-1,
+                low=-n,
+                exact_tail=True,
+            )
+            bracket = as_pdo.mul_keep_low(minus, 0) - minus.mul_keep_low(as_pdo, 0)
+            H = almost_commuting(n, m).H
+            for i in range(n - 1):
+                assert bracket.coefficient_at(i) == H[i], (n, m, i)
+            for power in (n - 1, n):
+                assert bracket.coefficient_at(power).is_zero(), (n, m, power)

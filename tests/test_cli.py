@@ -1,6 +1,7 @@
 """Command-line surface: files, formats, caching, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -113,6 +114,33 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 9
         assert "FAIL" not in out
+
+    def test_mismatch_is_reported_and_exits_2(self, capsys, monkeypatch):
+        import diffops.cli as cli_module
+        from diffops.basis import almost_commuting
+        from diffops.operators import DiffOperator
+
+        def tampered(n, m, cache=None):
+            result = almost_commuting(n, m, cache=cache)
+            if m != 3:
+                return result
+            # P_3 = D^3 + 3/2*u2*D + 3/4*u2': drop u2' (then only in (Q^3)_+),
+            # add u3 (only in P_m) and change the coefficient of u2*D
+            drop = DiffPolynomial.constant("3/4") * u(2, 1)
+            changed = result.P + DiffOperator.from_dict({0: u(3) - drop, 1: u(2)})
+            return dataclasses.replace(result, P=changed)
+
+        monkeypatch.setattr(cli_module, "almost_commuting", tampered)
+        assert run("verify", "--n", "2", "--max-m", "4", "--quiet") == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[2].startswith("(n=2, m=3) FAIL")
+        assert lines[3] == (
+            "  highest differing power d^1; monomials: 1 only in P_m, "
+            "1 only in (Q^m)_+, 1 with different coefficients"
+        )
+        assert sum("PASS" in line for line in lines) == 3
+        assert "1/4 mismatches" in captured.err
 
 
 class TestBenchCommand:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from diffops._ratio import Rational
+from diffops.operators import DiffOperator
 from diffops.polynomials import (
     DiffPolynomial,
     IncompleteSolutionError,
@@ -127,6 +128,15 @@ class TestEvaluate:
     def test_incomplete_solution(self):
         with pytest.raises(IncompleteSolutionError):
             (y(2) + y(5)).evaluate({2: u(2)})
+        # only a derivative of the missing y_5 occurs, alone or in an operator
+        with pytest.raises(IncompleteSolutionError) as info:
+            (u(2) * y(5, 3)).evaluate({2: u(2)})
+        assert info.value.index == 5
+        assert "y_5" in str(info.value)
+        op = DiffOperator.from_dict({2: y(2, 1), 0: y(5, 3)})
+        with pytest.raises(IncompleteSolutionError) as info:
+            op.evaluate({2: u(2)})
+        assert info.value.index == 5
 
     def test_is_differential_homomorphism(self):
         rng = random.Random(47)
