@@ -1,16 +1,11 @@
-"""Exact rational coefficient type.
+"""The exact rational type of the package boundary.
 
-All coefficient arithmetic in this package is exact.  gmpy2's mpq is used
-when available (roughly 10x faster than fractions.Fraction on the small
-rationals that dominate these computations); the stdlib Fraction is a
-drop-in fallback.
+Polynomials compute on integer numerators over one denominator; rationals
+are what the API reads and returns (coefficients, scalar arguments) and
+what the independent ansatz integrator eliminates over.
 """
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
 ZERO = Rational(0)
 ONE = Rational(1)
-

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ._ratio import Rational
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator, commutator
 from .polynomials import DiffPolynomial, Y_FAMILY, u, y
@@ -100,7 +99,6 @@ def solve_triangular(
     as NotTotalDerivativeError with diagnostics.
     """
     n = system.n
-    inv_n = Rational(1, n)
     assignments: dict = {}
     for offset, equation in enumerate(system.equations):
         index = offset + 2
@@ -121,7 +119,7 @@ def solve_triangular(
                     f"y_{index} (n={system.n}, m={system.m})"
                 ),
             ) from exc
-        q_index = integral * (-inv_n)
+        q_index = integral / -n
         if on_step is not None:
             on_step(index, rest, q_index)
         assignments[index] = q_index

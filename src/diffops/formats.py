@@ -6,17 +6,19 @@ Canonical JSON term encoding:
     polynomial = [term, ...]                       (canonical monomial order)
     operator   = {"order": k, "coefficients": [polynomial_0, ..., polynomial_k]}
 
-Coefficients are decimal-free rational text; the letter is "u", "y" or
-"c"; the index is an integer for u/y and an [m, j] pair for constants.
-Round-tripping a canonical file is the identity.  The LaTeX printer uses
-u_2', u_2'', u_2''', u_2^{(4)} derivative marks.
+Coefficients are rational text in lowest terms, ``-3/4`` or ``5``, parsed
+straight into integers; any other text raises ValueError.  The letter is
+"u", "y" or "c"; the index is an integer for u/y and an [m, j] pair for
+constants.  Round-tripping a canonical file is the identity.  The LaTeX
+printer uses u_2', u_2'', u_2''', u_2^{(4)} derivative marks.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from math import gcd, lcm
 
-from ._ratio import Rational
 from .basis import AlmostCommutingResult
 from .operators import DiffOperator, render_terms
 from .polynomials import (
@@ -24,12 +26,14 @@ from .polynomials import (
     DiffPolynomial,
     FAMILY_LETTERS,
     VarId,
+    ratio_text,
     render_sum,
 )
 
 FORMAT_VERSION = 1
 
 _LETTER_TO_FAMILY = {letter: fam for fam, letter in enumerate(FAMILY_LETTERS)}
+_COEFF_RE = re.compile(r"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 # -- JSON ----------------------------------------------------------------
@@ -37,15 +41,32 @@ _LETTER_TO_FAMILY = {letter: fam for fam, letter in enumerate(FAMILY_LETTERS)}
 
 def poly_to_json(p: DiffPolynomial) -> list:
     out = []
-    for mono, coeff in p.sorted_terms():
+    for mono, num, den in p.sorted_num_den():
         encoded = []
         for vid, exp in mono:
             family, index, order = vid
             if family == C_FAMILY:
                 index = [index[0], index[1]]
             encoded.append([FAMILY_LETTERS[family], index, order, exp])
-        out.append({"coeff": str(coeff), "monomial": encoded})
+        out.append({"coeff": ratio_text(num, den), "monomial": encoded})
     return out
+
+
+def parse_coeff(text: str) -> tuple:
+    """(num, den) of a canonical coefficient text such as ``-3/4`` or ``5``.
+
+    Canonical means what ``poly_to_json`` writes: a nonzero integer without
+    leading zeros, over a denominator > 1 coprime to it when there is one.
+    Raises ValueError for anything else (``1/0``, ``1.5``, ``2/4``, ...).
+    """
+    match = _COEFF_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"non-canonical coefficient: {text!r}")
+    num = int(match[1])
+    den = int(match[2]) if match[2] else 1
+    if match[2] and (den == 1 or gcd(num, den) != 1):
+        raise ValueError(f"non-canonical coefficient: {text!r}")
+    return num, den
 
 
 def poly_from_json(data: list) -> DiffPolynomial:
@@ -57,8 +78,9 @@ def poly_from_json(data: list) -> DiffPolynomial:
             if family == C_FAMILY:
                 index = (index[0], index[1])
             mono.append((VarId(family, index, order), exp))
-        terms[tuple(sorted(mono))] = Rational(term["coeff"])
-    return DiffPolynomial.from_dict(terms)
+        terms[tuple(sorted(mono))] = parse_coeff(term["coeff"])
+    den = lcm(*(d for _, d in terms.values()))
+    return DiffPolynomial.from_nums({m: n * (den // d) for m, (n, d) in terms.items()}, den)
 
 
 def operator_to_json(op: DiffOperator) -> dict:
@@ -104,12 +126,8 @@ def canonical_json_bytes(obj) -> bytes:
 # -- LaTeX ------------------------------------------------------------------
 
 
-def _coeff_latex(coeff) -> str:
-    num, den = coeff.numerator, coeff.denominator
-    if den == 1:
-        return str(num)
-    sign = "-" if num < 0 else ""
-    return f"{sign}\\frac{{{abs(num)}}}{{{den}}}"
+def _coeff_latex(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"\\frac{{{num}}}{{{den}}}"
 
 
 def _var_latex(vid) -> str:

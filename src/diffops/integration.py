@@ -19,9 +19,10 @@ irreducible remainder B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable
 
-from ._ratio import ONE, Rational, ZERO
+from ._ratio import ONE, ZERO
 from .polynomials import (
     DiffPolynomial,
     U_FAMILY,
@@ -55,7 +56,7 @@ class Decomposition:
 
 
 def _require_u_only(p: DiffPolynomial) -> None:
-    for mono, _ in p.items():
+    for mono in p._nums:
         for vid, _ in mono:
             if vid[0] != U_FAMILY:
                 raise ValueError(
@@ -111,8 +112,10 @@ def decompose(f: DiffPolynomial) -> Decomposition:
     the monomials irreducible under the integration-by-parts rewriting.
     """
     _require_u_only(f)
-    work = dict(f._terms)
+    # work and anti are numerator dicts over the common denominator den
+    work = dict(f._nums)
     anti: dict = {}
+    den = f._den
     while True:
         best = None
         for mono in work:
@@ -136,18 +139,23 @@ def decompose(f: DiffPolynomial) -> Decomposition:
             rest = _mono_without(mono, v)
             d = _exponent_of(rest, w_var)
             groups.setdefault(d, {})[_mono_without(rest, w_var)] = coeff
+        # rescale den so that every 1/(d+1) * cofactor is an integer
+        scale = lcm(*((d + 1) // gcd(d + 1, *cof.values()) for d, cof in groups.items()))
+        if scale != 1:
+            work = {mono: coeff * scale for mono, coeff in work.items()}
+            anti = {mono: coeff * scale for mono, coeff in anti.items()}
+            den *= scale
         for d, cofactors in groups.items():
-            scale = Rational(1, d + 1)
             w_power = ((w_var, d + 1),)
             increment = {
-                _mono_mul(w_power, mono): coeff * scale
+                _mono_mul(w_power, mono): coeff * scale // (d + 1)
                 for mono, coeff in cofactors.items()
             }
             for mono, coeff in increment.items():
                 _acc(anti, mono, coeff)
             for mono, coeff in _derive_raw(increment).items():
                 _acc(work, mono, -coeff)
-    return Decomposition(DiffPolynomial(anti), DiffPolynomial(work))
+    return Decomposition(DiffPolynomial.from_nums(anti, den), DiffPolynomial.from_nums(work, den))
 
 
 def antiderivative(f: DiffPolynomial) -> DiffPolynomial:

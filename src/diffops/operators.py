@@ -11,7 +11,7 @@ sparsity lives inside the coefficients.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._ratio import Rational
@@ -185,20 +185,24 @@ class DiffOperator:
         if not self._coeffs or not other._coeffs:
             return DiffOperator.zero()
         a, b = self._coeffs, other._coeffs
+        # every product coefficient is a numerator dict over da * db
+        da = lcm(*(ai._den for ai in a))
+        db = lcm(*(bj._den for bj in b))
         out = [dict() for _ in range(len(a) + len(b) - 1)]
         for j, bj in enumerate(b):
             if bj.is_zero():
                 continue
-            derivs = [bj._terms]
+            derivs = [bj._nums]
             for i, ai in enumerate(a):
                 if ai.is_zero():
                     continue
+                scale = (da // ai._den) * (db // bj._den)
                 for s in range(i + 1):
                     while len(derivs) <= s:
                         derivs.append(_derive_raw(derivs[-1]))
-                    _mul_into(out[i + j - s], ai._terms, derivs[s], comb(i, s))
+                    _mul_into(out[i + j - s], ai._nums, derivs[s], comb(i, s) * scale)
         return DiffOperator.from_coeffs(
-            DiffPolynomial({m: c for m, c in terms.items() if c}) for terms in out
+            DiffPolynomial.from_nums(nums, da * db) for nums in out
         )
 
     def __pow__(self, exponent: int) -> "DiffOperator":

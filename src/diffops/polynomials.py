@@ -7,14 +7,25 @@ bumping derivative orders and the Leibniz rule.
 
 Variables carry the grading w(u_l^{(k)}) = w(y_l^{(k)}) = l + k; constants
 are weight-transparent.  Monomials are kept canonical: sorted by variable
-id, no zero exponents; polynomials store no zero coefficients.
+id, no zero exponents.
+
+A polynomial is stored as integer numerators over one denominator,
+``{mono: num}`` and ``den``, meaning sum (num/den) * mono.  The form is
+normal: ``den >= 1``, ``gcd(den, *nums) == 1``, no numerator is zero, and
+the zero polynomial has ``den == 1``.  So two polynomials are equal
+exactly when their numerator dicts and denominators are, and every hot
+loop (products, derivation, substitution) runs on Python ints.  Rationals
+(``fractions.Fraction``) appear only at the boundary: ``items()``,
+``sorted_terms()``, ``coefficient()``, ``from_dict``, the rational
+constructor and scalar arguments.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._ratio import ONE, Rational, ZERO
+from ._ratio import Rational
 
 U_FAMILY = 0
 Y_FAMILY = 1
@@ -155,8 +166,8 @@ def _mul_raw(a: dict, b: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _mul_into(dst: dict, a: dict, b: dict, scale) -> None:
-    """dst += scale * a * b on raw term dicts."""
+def _mul_into(dst: dict, a: dict, b: dict, scale: int) -> None:
+    """dst += scale * a * b on numerator dicts."""
     for ma, ca in a.items():
         cs = ca * scale
         for mb, cb in b.items():
@@ -164,6 +175,7 @@ def _mul_into(dst: dict, a: dict, b: dict, scale) -> None:
 
 
 def _derive_raw(terms: dict) -> dict:
+    """The derivative of a numerator dict (the denominator is unchanged)."""
     out: dict = {}
     for mono, coeff in terms.items():
         for i in range(len(mono)):
@@ -186,36 +198,69 @@ def _derive_raw(terms: dict) -> dict:
     return out
 
 
+def _ratio_of(value) -> tuple:
+    """(numerator, denominator > 0) of a rational scalar, in lowest terms."""
+    if not isinstance(value, int):
+        value = Rational(value)
+    return value.numerator, value.denominator
+
+
+def ratio_text(num: int, den: int) -> str:
+    """Canonical text of num/den in lowest terms: ``-3/4``, ``5``."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 class DiffPolynomial:
-    """Sparse differential polynomial over exact rationals."""
+    """Sparse differential polynomial over exact rationals.
 
-    __slots__ = ("_terms",)
+    Stored as integer numerators over one denominator in normal form (see
+    the module docstring).
+    """
 
-    def __init__(self, terms: dict | None = None):
-        # trusted constructor: terms must be canonical (no zeros)
-        self._terms = terms if terms is not None else {}
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, terms: Mapping | None = None):
+        """sum c * mono over ``terms``, which maps canonical monomials to
+        ints or Fractions; zero coefficients are dropped."""
+        terms = terms or {}
+        den = lcm(*(c.denominator for c in terms.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
+        self._nums, self._den = _normal_form(nums, den)
 
     # -- construction -------------------------------------------------
 
     @classmethod
+    def from_nums(cls, nums: dict, den: int) -> "DiffPolynomial":
+        """nums/den, brought to normal form.
+
+        ``nums`` maps canonical monomials to nonzero ints and is taken
+        over, not copied; ``den`` is a positive int.
+        """
+        p = cls.__new__(cls)
+        p._nums, p._den = _normal_form(nums, den)
+        return p
+
+    @classmethod
     def zero(cls) -> "DiffPolynomial":
-        return cls({})
+        return cls.from_nums({}, 1)
 
     @classmethod
     def one(cls) -> "DiffPolynomial":
-        return cls({(): ONE})
+        return cls.from_nums({(): 1}, 1)
 
     @classmethod
     def constant(cls, value) -> "DiffPolynomial":
-        c = Rational(value)
-        return cls({(): c} if c else {})
+        num, den = _ratio_of(value)
+        return cls.from_nums({(): num} if num else {}, den)
 
     @classmethod
     def variable(cls, vid: VarId) -> "DiffPolynomial":
-        return cls({((vid, 1),): ONE})
+        return cls.from_nums({((vid, 1),): 1}, 1)
 
     @classmethod
     def from_dict(cls, terms: Mapping) -> "DiffPolynomial":
+        """Monomials in any order, coefficients as anything ``Rational``
+        accepts; repeated monomials add up."""
         out: dict = {}
         for mono, coeff in terms.items():
             c = Rational(coeff)
@@ -226,31 +271,41 @@ class DiffPolynomial:
     # -- queries ------------------------------------------------------
 
     def items(self) -> Iterator:
-        return iter(self._terms.items())
+        den = self._den
+        return ((m, Rational(c, den)) for m, c in self._nums.items())
 
     def sorted_terms(self) -> list:
-        return sorted(self._terms.items(), key=lambda t: mono_sort_key(t[0]))
+        return [(m, Rational(num, den)) for m, num, den in self.sorted_num_den()]
+
+    def sorted_num_den(self) -> list:
+        """[(mono, num, den)] in canonical order, each num/den in lowest terms."""
+        den = self._den
+        out = []
+        for mono, num in sorted(self._nums.items(), key=lambda t: mono_sort_key(t[0])):
+            g = gcd(num, den)
+            out.append((mono, num // g, den // g))
+        return out
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def coefficient(self, mono: Mono):
-        return self._terms.get(tuple(sorted(mono)), ZERO)
+        return Rational(self._nums.get(tuple(sorted(mono)), 0), self._den)
 
     def total_degree(self) -> int:
-        if not self._terms:
+        if not self._nums:
             return 0
-        return max(_mono_degree(m) for m in self._terms)
+        return max(_mono_degree(m) for m in self._nums)
 
     def variables(self) -> set:
         out = set()
-        for mono in self._terms:
+        for mono in self._nums:
             for vid, _ in mono:
                 out.add(VarId(*vid))
         return out
@@ -258,14 +313,14 @@ class DiffPolynomial:
     def u_indices(self) -> set:
         return {
             vid[1]
-            for mono in self._terms
+            for mono in self._nums
             for vid, _ in mono
             if vid[0] == U_FAMILY
         }
 
     def has_family(self, family: int) -> bool:
         return any(
-            vid[0] == family for mono in self._terms for vid, _ in mono
+            vid[0] == family for mono in self._nums for vid, _ in mono
         )
 
     def weight(self) -> int | None:
@@ -274,9 +329,9 @@ class DiffPolynomial:
         Constants c_{m,j} are weight-transparent.  Raises
         NotHomogeneousError when monomial weights differ.
         """
-        if not self._terms:
+        if not self._nums:
             return None
-        it = iter(self._terms)
+        it = iter(self._nums)
         w = _mono_weight(next(it))
         for mono in it:
             if _mono_weight(mono) != w:
@@ -293,54 +348,66 @@ class DiffPolynomial:
     # -- ring operations ----------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Rational)):
+            other = DiffPolynomial.constant(other)
         if isinstance(other, DiffPolynomial):
-            return self._terms == other._terms
-        if isinstance(other, (int, type(ONE))):
-            return self._terms == DiffPolynomial.constant(other)._terms
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
-    def __add__(self, other) -> "DiffPolynomial":
+    def _plus(self, other, sign: int) -> "DiffPolynomial":
+        """self + sign * other over the least common denominator."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _acc(out, mono, coeff)
-        return DiffPolynomial(out)
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = dict(self._nums) if fa == 1 else {m: c * fa for m, c in self._nums.items()}
+        fb *= sign
+        for mono, coeff in other._nums.items():
+            _acc(out, mono, coeff * fb)
+        return DiffPolynomial.from_nums(out, da * fa)
+
+    def __add__(self, other) -> "DiffPolynomial":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial({m: -c for m, c in self._terms.items()})
+        return DiffPolynomial.from_nums({m: -c for m, c in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "DiffPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _acc(out, mono, -coeff)
-        return DiffPolynomial(out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "DiffPolynomial":
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "DiffPolynomial":
         if isinstance(other, DiffPolynomial):
-            return DiffPolynomial(_mul_raw(self._terms, other._terms))
+            return DiffPolynomial.from_nums(
+                _mul_raw(self._nums, other._nums), self._den * other._den
+            )
         try:
-            c = Rational(other)
+            num, den = _ratio_of(other)
         except (TypeError, ValueError):
             return NotImplemented
-        if not c:
-            return DiffPolynomial()
-        return DiffPolynomial({m: v * c for m, v in self._terms.items()})
+        return self._scaled(num, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "DiffPolynomial":
-        c = Rational(scalar)
-        return DiffPolynomial({m: v / c for m, v in self._terms.items()})
+        num, den = _ratio_of(scalar)
+        if not num:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
+
+    def _scaled(self, num: int, den: int) -> "DiffPolynomial":
+        """self * num/den for ints num and den > 0."""
+        if not num:
+            return DiffPolynomial.zero()
+        return DiffPolynomial.from_nums(
+            {m: c * num for m, c in self._nums.items()}, self._den * den
+        )
 
     def __pow__(self, exponent: int) -> "DiffPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -361,10 +428,10 @@ class DiffPolynomial:
     def derive(self, times: int = 1) -> "DiffPolynomial":
         if times < 0:
             raise ValueError("derivative count must be non-negative")
-        terms = self._terms
+        nums = self._nums
         for _ in range(times):
-            terms = _derive_raw(terms)
-        return self if terms is self._terms else DiffPolynomial(terms)
+            nums = _derive_raw(nums)
+        return self if nums is self._nums else DiffPolynomial.from_nums(nums, self._den)
 
     def evaluate(self, assignments: Mapping) -> "DiffPolynomial":
         """Differential substitution y_l^{(k)} -> derive(assignments[l], k).
@@ -385,36 +452,68 @@ class DiffPolynomial:
         return render_text(self)
 
 
+def _normal_form(nums: dict, den: int) -> tuple:
+    """(nums, den) divided by gcd(den, *nums); den is 1 when nums is empty."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    return nums, den
+
+
 def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> list:
     """``p.evaluate(assignments)`` for every p of ``polys``, in one pass.
 
     All polynomials share one derivative table that builds q_l^{(k)} from
-    q_l^{(k-1)}, so each (l, k) is derived at most once; the table lives
-    for this call only.
+    q_l^{(k-1)}, so each (l, k) is derived at most once.  After each
+    polynomial the table keeps q_l^{(k)} only up to the highest order of
+    y_l that a later polynomial uses, and drops l when none does; it
+    lives for this call only.
     """
-    table: dict = {}  # l -> [q_l, q_l', q_l'', ...]
+    # keep[i]: l -> highest order of y_l in the polynomials after polys[i]
+    keep: list = []
+    later: dict = {}
+    for poly in reversed(polys):
+        keep.append(dict(later))
+        for mono in poly._nums:
+            for vid, _ in mono:
+                if vid[0] == Y_FAMILY and later.get(vid[1], -1) < vid[2]:
+                    later[vid[1]] = vid[2]
+    keep.reverse()
+    table: dict = {}  # l -> [q_l, q_l', q_l'', ...] as numerator dicts
 
-    def replacement(vid) -> dict:
+    def replacement(vid) -> tuple:
         derivs = table.get(vid[1])
         if derivs is None:
             if vid[1] not in assignments:
                 raise IncompleteSolutionError(vid[1])
-            derivs = table[vid[1]] = [assignments[vid[1]]._terms]
+            derivs = table[vid[1]] = [assignments[vid[1]]._nums]
         while len(derivs) <= vid[2]:
             derivs.append(_derive_raw(derivs[-1]))
-        return derivs[vid[2]]
+        return derivs[vid[2]], assignments[vid[1]]._den
 
     results = []
-    for poly in polys:
-        out: dict = {}
-        for mono, coeff in poly._terms.items():
-            prod = {tuple(f for f in mono if f[0][0] != Y_FAMILY): coeff}
+    for i, poly in enumerate(polys):
+        # each monomial's factors, and the product of their denominators
+        rows = []
+        for mono, coeff in poly._nums.items():
             factors = [replacement(v) for v, e in mono if v[0] == Y_FAMILY for _ in range(e)]
-            for q in factors[:-1]:
-                prod = _mul_raw(prod, q)
+            rows.append((mono, coeff, factors, prod(den for _, den in factors)))
+        common = lcm(*(row[3] for row in rows))
+        out: dict = {}
+        for mono, coeff, factors, den in rows:
+            head = {tuple(f for f in mono if f[0][0] != Y_FAMILY): coeff * (common // den)}
+            for q, _ in factors[:-1]:
+                head = _mul_raw(head, q)
             # the last factor goes straight into ``out``
-            _mul_into(out, prod, factors[-1] if factors else {(): ONE}, ONE)
-        results.append(DiffPolynomial(out))
+            _mul_into(out, head, factors[-1][0] if factors else {(): 1}, 1)
+        results.append(DiffPolynomial.from_nums(out, poly._den * common))
+        for l in list(table):
+            if l in keep[i]:
+                del table[l][keep[i][l] + 1 :]
+            else:
+                del table[l]
     return results
 
 
@@ -533,21 +632,24 @@ def render_sum(
     mono_str: Callable[[Mono], str],
     times: str,
 ) -> str:
-    """p as signed terms ``|c|{times}monomial``; unit coefficients are elided."""
+    """p as signed terms ``|c|{times}monomial``; unit coefficients are elided.
+
+    ``coeff_str(num, den)`` renders a positive coefficient in lowest terms.
+    """
     if p.is_zero():
         return "0"
     parts = []
-    for mono, coeff in p.sorted_terms():
-        mag = abs(coeff)
+    for mono, num, den in p.sorted_num_den():
+        mag = abs(num)
         if not mono:
-            body = coeff_str(mag)
-        elif mag == 1:
+            body = coeff_str(mag, den)
+        elif mag == 1 and den == 1:
             body = mono_str(mono)
         else:
-            body = f"{coeff_str(mag)}{times}{mono_str(mono)}"
-        parts.append(f"-{body}" if coeff < 0 else body)
+            body = f"{coeff_str(mag, den)}{times}{mono_str(mono)}"
+        parts.append(f"-{body}" if num < 0 else body)
     return join_signed(parts)
 
 
 def render_text(p: DiffPolynomial) -> str:
-    return render_sum(p, str, mono_text, "*")
+    return render_sum(p, ratio_text, mono_text, "*")

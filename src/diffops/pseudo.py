@@ -17,9 +17,9 @@ multiplication refuses to proceed.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Mapping
 
-from ._ratio import ONE, Rational
 from .operators import DiffOperator, _d_text, render_terms
 from .polynomials import DiffPolynomial, NotHomogeneousError, _derive_raw, _mul_into
 
@@ -186,24 +186,28 @@ class TruncatedPDO:
                 f"right factor retained to d^{other._low}: product coefficients below "
                 f"d^{self._top + other._low} are not exact (requested d^{keep_low})"
             )
+        # every product coefficient is a numerator dict over da * db
+        da = lcm(*(ai._den for ai in self._coeffs.values()))
+        db = lcm(*(bj._den for bj in other._coeffs.values()))
         out: dict = {}
         for j, bj in other._coeffs.items():
-            derivs = [bj._terms]
+            derivs = [bj._nums]
             for i, ai in self._coeffs.items():
                 smax = i + j - keep_low
                 if smax < 0:
                     continue
-                ai_terms = ai._terms
-                coef = ONE
+                ai_nums = ai._nums
+                scale = (da // ai._den) * (db // bj._den)
+                coef = 1  # C(i, s), an integer for every integer i
                 for s in range(smax + 1):
                     if s:
-                        coef = coef * (i - s + 1) / s
+                        coef = coef * (i - s + 1) // s
                         if not coef:
                             break
                     while len(derivs) <= s:
                         derivs.append(_derive_raw(derivs[-1]))
                     dst = out.setdefault(i + j - s, {})
-                    _mul_into(dst, ai_terms, derivs[s], coef)
+                    _mul_into(dst, ai_nums, derivs[s], coef * scale)
         top = self._top + other._top
         # Negative left powers expand to infinite tails against non-constant
         # coefficients, so the product tail is known-zero only when the left
@@ -215,10 +219,7 @@ class TruncatedPDO:
                 exact = keep_low <= other._low
             elif keep_low <= self._low + other._low:
                 exact = all(c.derive().is_zero() for c in other._coeffs.values())
-        coeffs = {
-            p: DiffPolynomial({m: c for m, c in terms.items() if c})
-            for p, terms in out.items()
-        }
+        coeffs = {p: DiffPolynomial.from_nums(nums, da * db) for p, nums in out.items()}
         return TruncatedPDO(coeffs, top=top, low=min(keep_low, top), exact_tail=exact)
 
     def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":
@@ -274,7 +275,6 @@ def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
         raise ValueError("operator order must be at least 2")
     if not op.is_normal_form():
         raise ValueError("operator must be monic and in normal form")
-    inv_n = Rational(1, n)
     found: dict = {1: _ONE_POLY}
     for t in range(1, depth + 1):
         target = n - 1 - t
@@ -283,7 +283,7 @@ def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
         for factor in range(2, n + 1):
             acc = acc.mul_keep_low(known, target - (n - factor))
         mismatch = op.coefficient_at(target) - acc.coefficient_at(target)
-        q_t = mismatch * inv_n
+        q_t = mismatch / n
         if not q_t.is_zero():
             found[-t] = q_t
     return TruncatedPDO(found, top=1, low=-depth, exact_tail=False)

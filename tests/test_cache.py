@@ -3,8 +3,10 @@
 import json
 import os
 
+import pytest
+
 from diffops.basis import almost_commuting
-from diffops.cache import CACHE_ENV_VAR, ResultCache, default_cache_root
+from diffops.cache import CACHE_ENV_VAR, ResultCache, _checksum, default_cache_root
 from diffops.formats import FORMAT_VERSION
 from diffops.hierarchy import gd_equations
 
@@ -39,6 +41,19 @@ def test_checksum_tamper_rejected(tmp_path):
     entry["payload"]["m"] = 9
     path.write_text(json.dumps(entry), encoding="utf-8")
     assert cache.get(3, 2) is None
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "1.5", "abc", "2/4"])
+def test_non_canonical_coefficient_is_a_miss(tmp_path, coeff):
+    # the checksum is recomputed, so only the coefficient parser can refuse it
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    path = cache.entry_path(3, 4)
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["payload"]["P"]["coefficients"][0][0]["coeff"] = coeff
+    entry["checksum"] = _checksum(entry["payload"])
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    assert cache.get(3, 4) is None
 
 
 def test_key_mismatch_rejected(tmp_path):

@@ -1,7 +1,12 @@
 """JSON round trips and the LaTeX/text printers."""
 
+import hashlib
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from diffops._ratio import Rational as Q
 from diffops.basis import almost_commuting
@@ -10,6 +15,7 @@ from diffops.formats import (
     operator_from_json,
     operator_latex,
     operator_to_json,
+    parse_coeff,
     poly_from_json,
     poly_latex,
     poly_to_json,
@@ -19,7 +25,7 @@ from diffops.formats import (
     result_to_json,
 )
 from diffops.operators import DiffOperator
-from diffops.polynomials import DiffPolynomial, c, u, y
+from diffops.polynomials import DiffPolynomial, c, u, u_id, y
 from helpers import random_operator, random_poly
 
 
@@ -68,6 +74,40 @@ class TestJson:
         first = canonical_json_bytes(result_to_json(almost_commuting(3, 4)))
         second = canonical_json_bytes(result_to_json(almost_commuting(3, 4)))
         assert first == second
+
+
+PINNED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)["results"]
+
+
+class TestCoefficientParsing:
+    @pytest.mark.parametrize("n, m", [(7, 13), (3, 20)])
+    def test_large_results_round_trip_byte_identically(self, n, m):
+        data = result_to_json(almost_commuting(n, m))
+        once = canonical_json_bytes(data)
+        assert hashlib.sha256(once).hexdigest() == PINNED[f"{n},{m}"]["sha256"]
+        assert canonical_json_bytes(result_to_json(result_from_json(data))) == once
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("-3/117649", Fraction(-3, 117649)), ("5", Fraction(5)), ("-1", Fraction(-1)), ("2/3", Fraction(2, 3))],
+    )
+    def test_canonical_text_parses_exactly(self, text, value):
+        assert parse_coeff(text) == (value.numerator, value.denominator)
+        mono = ((u_id(2, 1), 1),)
+        p = poly_from_json([{"coeff": text, "monomial": [["u", 2, 1, 1]]}])
+        assert p.coefficient(mono) == value
+        assert poly_to_json(p)[0]["coeff"] == text
+
+    @pytest.mark.parametrize(
+        "text", ["1/0", "1.5", "abc", "2/4", "0", "-0", "07", "3/1", "1/-2", " 1", "", 1]
+    )
+    def test_non_canonical_text_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_coeff(text)
+        with pytest.raises(ValueError):
+            poly_from_json([{"coeff": text, "monomial": [["u", 2, 0, 1]]}])
 
 
 class TestLatex:

@@ -1,13 +1,17 @@
 """Differential polynomial ring: arithmetic, derivation, grading, evaluation."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from diffops._ratio import Rational
 from diffops.operators import DiffOperator
 from diffops.polynomials import (
+    C_FAMILY,
+    Y_FAMILY,
     DiffPolynomial,
     IncompleteSolutionError,
     NotHomogeneousError,
@@ -19,7 +23,7 @@ from diffops.polynomials import (
     u_id,
     y,
 )
-from helpers import random_homogeneous, random_poly
+from helpers import rand_rational, random_homogeneous, random_poly
 
 HALF = Rational(1, 2)
 
@@ -215,3 +219,153 @@ class TestCanonicalForm:
         assert u_id(2, 1) < u_id(2, 2) < u_id(3, 0)
         assert u_id(5, 9) < VarId(1, 2, 0)  # any u before any y
         assert VarId(1, 9, 4) < VarId(2, (2, 1), 0)  # any y before any c
+
+
+# -- the integer kernel against a plain-Fraction reference ------------------
+
+
+def ref_mono_mul(m1, m2):
+    exps = dict(m1)
+    for vid, exp in m2:
+        exps[vid] = exps.get(vid, 0) + exp
+    return tuple(sorted(exps.items()))
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, Fraction(0)) + sign * coeff
+    return {m: v for m, v in out.items() if v}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out = ref_add(out, {ref_mono_mul(ma, mb): ca * cb})
+    return out
+
+
+def ref_derive(a):
+    out = {}
+    for mono, coeff in a.items():
+        for vid, exp in mono:
+            if vid[0] == C_FAMILY:
+                continue
+            rest = tuple((v, e - (v == vid)) for v, e in mono if e - (v == vid))
+            up = ((VarId(vid[0], vid[1], vid[2] + 1), 1),)
+            out = ref_add(out, {ref_mono_mul(rest, up): coeff * exp})
+    return out
+
+
+def ref_substitute(a, assignments):
+    out = {}
+    for mono, coeff in a.items():
+        term = {tuple(f for f in mono if f[0][0] != Y_FAMILY): coeff}
+        for vid, exp in mono:
+            if vid[0] == Y_FAMILY:
+                q = assignments[vid[1]]
+                for _ in range(vid[2]):
+                    q = ref_derive(q)
+                for _ in range(exp):
+                    term = ref_mul(term, q)
+        out = ref_add(out, term)
+    return out
+
+
+def assert_normal_form(p):
+    nums, den = p._nums, p._den
+    assert isinstance(den, int) and den >= 1
+    assert all(isinstance(v, int) and v for v in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    if not nums:
+        assert den == 1
+
+
+def assert_matches(p, ref):
+    assert_normal_form(p)
+    assert dict(p.items()) == ref
+
+
+def random_y_poly(rng):
+    """u-polynomials times y-factors with derivatives and powers."""
+    return (
+        random_homogeneous(rng, 4) * y(2)
+        + y(3, 1) * random_homogeneous(rng, 3)
+        + rand_rational(rng) * y(2, 2) * y(3)
+        + rand_rational(rng) * y(2) ** 2
+        + random_poly(rng, max_weight=5)
+    )
+
+
+class TestIntegerKernel:
+    """Each operation agrees term by term with Fraction arithmetic and
+    leaves its result in normal form."""
+
+    def test_ring_operations(self):
+        rng = random.Random(601)
+        for _ in range(40):
+            p = random_homogeneous(rng, rng.randint(2, 6), indices=(2, 3, 4), max_terms=6)
+            q = random_homogeneous(rng, rng.randint(2, 6), indices=(2, 3, 4), max_terms=6)
+            rp, rq = dict(p.items()), dict(q.items())
+            assert_matches(p, rp)
+            assert_matches(p + q, ref_add(rp, rq))
+            assert_matches(p - q, ref_add(rp, rq, -1))
+            assert_matches(p - p, {})
+            assert_matches(-p, {m: -v for m, v in rp.items()})
+            assert_matches(p * q, ref_mul(rp, rq))
+            assert_matches(p.derive(), ref_derive(rp))
+            assert_matches(p.derive(2), ref_derive(ref_derive(rp)))
+
+    def test_scalars(self):
+        rng = random.Random(602)
+        for _ in range(40):
+            p = random_homogeneous(rng, rng.randint(2, 6), indices=(2, 3), max_terms=6)
+            rp = dict(p.items())
+            s = rand_rational(rng)
+            k = s.numerator
+            assert_matches(p * s, {m: v * s for m, v in rp.items()} if s else {})
+            assert_matches(s * p, {m: v * s for m, v in rp.items()} if s else {})
+            assert_matches(p * k, {m: v * k for m, v in rp.items()} if k else {})
+            if s:
+                assert_matches(p / s, {m: v / s for m, v in rp.items()})
+                assert_matches(p / -3, {m: v / -3 for m, v in rp.items()})
+        with pytest.raises(ZeroDivisionError):
+            u(2) / 0
+
+    def test_substitute(self):
+        rng = random.Random(603)
+        for _ in range(20):
+            p = random_y_poly(rng)
+            z = {
+                2: random_homogeneous(rng, 2, max_terms=3) + rand_rational(rng) * u(2) * u(3),
+                3: random_homogeneous(rng, 3, max_terms=3) + rand_rational(rng),
+            }
+            ref = ref_substitute(dict(p.items()), {l: dict(q.items()) for l, q in z.items()})
+            assert_matches(p.evaluate(z), ref)
+
+    def test_substitute_many_shares_one_table(self):
+        rng = random.Random(604)
+        polys = [random_y_poly(rng) for _ in range(5)] + [y(2, 4), u(2), y(3, 3) * y(3)]
+        z = {2: Rational(1, 3) * u(2) ** 2 + Rational(5, 7) * u(3), 3: Rational(-2, 9) * u(2, 1)}
+        ref_z = {l: dict(q.items()) for l, q in z.items()}
+        got = DiffOperator.from_coeffs(polys).evaluate(z).coefficients()
+        for p, result in zip(polys, got):
+            assert_matches(result, ref_substitute(dict(p.items()), ref_z))
+
+    def test_constructors_normalise(self):
+        mono = ((u_id(2, 1), 1),)
+        assert DiffPolynomial({mono: Fraction(2, 4)}) == DiffPolynomial.from_dict({mono: "1/2"})
+        for p in (
+            DiffPolynomial({mono: Fraction(2, 4), (): Fraction(-3, 6)}),
+            DiffPolynomial({mono: Fraction(0)}),
+            DiffPolynomial.from_dict({mono: "6/4", (): 3}),
+            DiffPolynomial.constant(Fraction(-10, 4)),
+            DiffPolynomial.zero(),
+            (Rational(1, 2) * u(2)) * 2,
+            (Rational(1, 2) * u(2) ** 2).derive(),
+        ):
+            assert_normal_form(p)
+        assert (Rational(1, 2) * u(2) ** 2).derive() == u(2) * u(2, 1)
+        assert DiffPolynomial.constant(Fraction(-10, 4)) == Fraction(-5, 2)
+        assert DiffPolynomial({mono: Fraction(2, 4)}).coefficient(mono) == HALF
