@@ -61,7 +61,7 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         try:
             payload = entry["payload"]
@@ -90,7 +90,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
+                # dump streams through the stdlib's pure-Python encoder;
+                # one dumps call runs the C encoder and gives the same text
+                handle.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:

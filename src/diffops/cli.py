@@ -18,7 +18,13 @@ from pathlib import Path
 
 from .basis import almost_commuting, generic_L
 from .cache import CACHE_ENV_VAR, ResultCache
-from .formats import poly_latex, poly_to_json, render_operator, render_poly
+from .formats import (
+    json_object_text,
+    poly_json_text,
+    poly_latex,
+    render_operator,
+    render_poly,
+)
 from .hierarchy import gd_equations, kdv_sequence
 from .integration import NotTotalDerivativeError
 from .pseudo import InsufficientDepthError, nth_root
@@ -89,14 +95,13 @@ def cmd_basis(args) -> int:
 
 def _render_flow(eq, fmt: str, stationary: bool) -> str:
     if fmt == "json":
-        return json.dumps(
+        return json_object_text(
             {
-                "variable_index": eq.variable_index,
-                "lhs": None if stationary else eq.lhs_label,
-                "rhs": poly_to_json(eq.rhs),
-                "stationary": stationary,
-            },
-            indent=2,
+                "variable_index": json.dumps(eq.variable_index),
+                "lhs": json.dumps(None if stationary else eq.lhs_label),
+                "rhs": poly_json_text(eq.rhs, 1),
+                "stationary": json.dumps(stationary),
+            }
         )
     if fmt == "latex":
         body = poly_latex(eq.rhs)

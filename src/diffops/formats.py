@@ -11,6 +11,14 @@ straight into integers; any other text raises ValueError.  The letter is
 "u", "y" or "c"; the index is an integer for u/y and an [m, j] pair for
 constants.  Round-tripping a canonical file is the identity.  The LaTeX
 printer uses u_2', u_2'', u_2''', u_2^{(4)} derivative marks.
+
+The ``json`` render of a polynomial, an operator or a flow equation is
+byte-identical to ``json.dumps(..., indent=2)`` of its encoding, but
+``poly_json_text`` writes it from the sorted terms with fixed glue and
+renders each distinct factor once.  The stdlib runs its C encoder only for
+a one-shot ``dumps`` without ``indent``; with ``indent`` (or through
+``dump``) every list and dict of the payload goes through its pure-Python
+encoder, several times slower on a large result.
 """
 
 from __future__ import annotations
@@ -33,23 +41,72 @@ from .polynomials import (
 FORMAT_VERSION = 1
 
 _LETTER_TO_FAMILY = {letter: fam for fam, letter in enumerate(FAMILY_LETTERS)}
+_C_LETTER = FAMILY_LETTERS[C_FAMILY]
 _COEFF_RE = re.compile(r"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 # -- JSON ----------------------------------------------------------------
 
 
+def _factor_to_json(vid: VarId, exp: int) -> list:
+    """The ``[letter, index, order, exp]`` encoding of one monomial factor."""
+    family, index, order = vid
+    if family == C_FAMILY:
+        index = [index[0], index[1]]
+    return [FAMILY_LETTERS[family], index, order, exp]
+
+
 def poly_to_json(p: DiffPolynomial) -> list:
-    out = []
+    return [
+        {
+            "coeff": ratio_text(num, den),
+            "monomial": [_factor_to_json(vid, exp) for vid, exp in mono],
+        }
+        for mono, num, den in p.sorted_num_den()
+    ]
+
+
+def _list_text(items: list, depth: int) -> str:
+    """An indent=2 JSON array of already-rendered items, nested ``depth``
+    levels deep in its document."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + ",".join(pad + "  " + item for item in items) + pad + "]"
+
+
+def json_object_text(fields: dict) -> str:
+    """An indent=2 JSON object at the top of its document, from its keys
+    and their values already rendered one level deep."""
+    body = ",".join(f"\n  {json.dumps(key)}: {value}" for key, value in fields.items())
+    return "{" + body + "\n}"
+
+
+def poly_json_text(p: DiffPolynomial, depth: int = 0) -> str:
+    """``json.dumps(poly_to_json(p), indent=2)`` byte for byte, nested
+    ``depth`` levels deep in its document.
+
+    Each distinct factor is rendered once per call and re-padded to the
+    depth of its monomial.  A coefficient's text is digits, ``-`` and ``/``
+    only, so it needs no escaping.
+    """
+    pad = "  " * depth
+    factor_pad = f"\n{pad}      "
+    blocks = {}
+    terms = []
     for mono, num, den in p.sorted_num_den():
-        encoded = []
-        for vid, exp in mono:
-            family, index, order = vid
-            if family == C_FAMILY:
-                index = [index[0], index[1]]
-            encoded.append([FAMILY_LETTERS[family], index, order, exp])
-        out.append({"coeff": ratio_text(num, den), "monomial": encoded})
-    return out
+        factors = []
+        for factor in mono:
+            block = blocks.get(factor)
+            if block is None:
+                text = json.dumps(_factor_to_json(*factor), indent=2)
+                block = blocks[factor] = text.replace("\n", factor_pad)
+            factors.append(block)
+        terms.append(
+            f'{{\n{pad}    "coeff": "{ratio_text(num, den)}",'
+            f'\n{pad}    "monomial": {_list_text(factors, depth + 2)}\n{pad}  }}'
+        )
+    return _list_text(terms, depth)
 
 
 def parse_coeff(text: str) -> tuple:
@@ -70,15 +127,29 @@ def parse_coeff(text: str) -> tuple:
 
 
 def poly_from_json(data: list) -> DiffPolynomial:
+    """The polynomial of a ``poly_to_json`` term list.
+
+    Each distinct factor and each distinct coefficient text is decoded once
+    per call; malformed input raises TypeError, KeyError or ValueError.
+    """
+    factors = {}
+    coeffs = {}
     terms = {}
     for term in data:
         mono = []
         for letter, index, order, exp in term["monomial"]:
-            family = _LETTER_TO_FAMILY[letter]
-            if family == C_FAMILY:
+            if letter == _C_LETTER:
                 index = (index[0], index[1])
-            mono.append((VarId(family, index, order), exp))
-        terms[tuple(sorted(mono))] = parse_coeff(term["coeff"])
+            key = (letter, index, order, exp)
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = (VarId(_LETTER_TO_FAMILY[letter], index, order), exp)
+            mono.append(factor)
+        text = term["coeff"]
+        coeff = coeffs.get(text)
+        if coeff is None:
+            coeff = coeffs[text] = parse_coeff(text)
+        terms[tuple(sorted(mono))] = coeff
     den = lcm(*(d for _, d in terms.values()))
     return DiffPolynomial.from_nums({m: n * (den // d) for m, (n, d) in terms.items()}, den)
 
@@ -175,7 +246,7 @@ def operator_latex(op: DiffOperator) -> str:
 
 def render_poly(p: DiffPolynomial, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(poly_to_json(p), indent=2)
+        return poly_json_text(p)
     if fmt == "latex":
         return poly_latex(p)
     if fmt == "text":
@@ -185,7 +256,13 @@ def render_poly(p: DiffPolynomial, fmt: str) -> str:
 
 def render_operator(op: DiffOperator, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(operator_to_json(op), indent=2)
+        coeffs = [poly_json_text(c, 2) for c in op.coefficients()]
+        return json_object_text(
+            {
+                "order": json.dumps(op.order if coeffs else None),
+                "coefficients": _list_text(coeffs, 1),
+            }
+        )
     if fmt == "latex":
         return operator_latex(op)
     if fmt == "text":

@@ -1,14 +1,21 @@
 """Result cache: round trips, checksum rejection, atomic writes."""
 
+import hashlib
+import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from diffops.basis import almost_commuting
 from diffops.cache import CACHE_ENV_VAR, ResultCache, _checksum, default_cache_root
-from diffops.formats import FORMAT_VERSION
+from diffops.formats import FORMAT_VERSION, result_to_json
 from diffops.hierarchy import gd_equations
+
+PINNED_ENTRY = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)["cache_entry"]
 
 
 def test_put_get_round_trip(tmp_path):
@@ -43,17 +50,140 @@ def test_checksum_tamper_rejected(tmp_path):
     assert cache.get(3, 2) is None
 
 
-@pytest.mark.parametrize("coeff", ["1/0", "1.5", "abc", "2/4"])
-def test_non_canonical_coefficient_is_a_miss(tmp_path, coeff):
-    # the checksum is recomputed, so only the coefficient parser can refuse it
+def test_non_utf8_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(3, 4, almost_commuting(3, 4))
     path = cache.entry_path(3, 4)
+    raw = bytearray(path.read_bytes())
+    raw[10:12] = b"\xff\xfe"
+    path.write_bytes(bytes(raw))
+    assert cache.get(3, 4) is None
+
+
+def test_put_writes_one_sorted_json_text(tmp_path):
+    result = almost_commuting(3, 4)
+    path = ResultCache(tmp_path).put(3, 4, result)
+    payload = result_to_json(result)
+    entry = {
+        "format_version": FORMAT_VERSION,
+        "key": [3, 4],
+        "checksum": _checksum(payload),
+        "payload": payload,
+    }
+    streamed = io.StringIO()
+    json.dump(entry, streamed, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == json.dumps(entry, sort_keys=True)
+    assert streamed.getvalue() == json.dumps(entry, sort_keys=True)
+
+
+def test_large_entry_matches_pinned_digest(tmp_path):
+    path = ResultCache(tmp_path).put(7, 13, almost_commuting(7, 13))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ENTRY
+
+
+def _tamper(cache, n, m, edit) -> None:
+    """Apply ``edit`` to the entry's payload and recompute its checksum, so
+    only the payload parser can refuse it."""
+    path = cache.entry_path(n, m)
     entry = json.loads(path.read_text(encoding="utf-8"))
-    entry["payload"]["P"]["coefficients"][0][0]["coeff"] = coeff
+    edit(entry["payload"])
     entry["checksum"] = _checksum(entry["payload"])
     path.write_text(json.dumps(entry), encoding="utf-8")
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "1.5", "abc", "2/4"])
+def test_non_canonical_coefficient_is_a_miss(tmp_path, coeff):
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+
+    def edit(payload):
+        payload["P"]["coefficients"][0][0]["coeff"] = coeff
+
+    _tamper(cache, 3, 4, edit)
     assert cache.get(3, 4) is None
+
+
+def _first_terms(payload) -> list:
+    # the d^0 coefficient of P_7 for n = 3: six terms, the first two
+    # 14/9 u_2 u_3'' and 14/27 u_2^2 u_3
+    return payload["P"]["coefficients"][0]
+
+
+def _set_coeffs(*texts):
+    def edit(payload):
+        for term, text in zip(_first_terms(payload), texts):
+            term["coeff"] = text
+
+    return edit
+
+
+def _set_factor(factor):
+    def edit(payload):
+        _first_terms(payload)[1]["monomial"][0] = factor
+
+    return edit
+
+
+def _relabel_factor(letter):
+    def edit(payload):
+        terms = _first_terms(payload)
+        terms[1]["monomial"][0] = [letter] + terms[0]["monomial"][0][1:]
+
+    return edit
+
+
+def _resize_factor(extra):
+    def edit(payload):
+        terms = _first_terms(payload)
+        factor = terms[0]["monomial"][0]
+        terms[1]["monomial"][0] = factor[:3] if extra < 0 else factor + [1] * extra
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_coeffs("14/9", "28/54", "28/54"),
+        _set_coeffs("14/9", "28/18"),
+        _relabel_factor("v"),
+        _resize_factor(-1),
+        _resize_factor(1),
+        _set_factor(["u", [2, 0], 0, 1]),
+        _set_factor(["c", 4, 0, 1]),
+    ],
+    ids=[
+        "non-canonical-twice",
+        "non-canonical-after-canonical",
+        "unknown-letter",
+        "short-factor",
+        "long-factor",
+        "list-index-on-u",
+        "int-index-on-c",
+    ],
+)
+def test_decode_memos_accept_nothing_the_parser_rejects(tmp_path, edit):
+    cache = ResultCache(tmp_path)
+    cache.put(3, 7, almost_commuting(3, 7))
+    _tamper(cache, 3, 7, edit)
+    assert cache.get(3, 7) is None
+
+
+def test_factors_out_of_order_read_back_canonically(tmp_path):
+    cache = ResultCache(tmp_path)
+    result = almost_commuting(3, 7)
+    cache.put(3, 7, result)
+
+    def edit(payload):
+        for poly in payload["P"]["coefficients"] + payload["H"]:
+            for term in poly:
+                term["monomial"].reverse()
+            poly.reverse()
+
+    _tamper(cache, 3, 7, edit)
+    loaded = cache.get(3, 7)
+    assert loaded is not None
+    assert loaded.P == result.P and loaded.H == result.H
 
 
 def test_key_mismatch_rejected(tmp_path):

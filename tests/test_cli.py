@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from diffops.cache import CACHE_ENV_VAR
+from diffops.cache import CACHE_ENV_VAR, ResultCache
 from diffops.cli import main
 from diffops.formats import operator_from_json, poly_from_json
 from diffops.polynomials import DiffPolynomial, u
@@ -64,6 +64,19 @@ class TestBasisCommand:
         assert run("basis", "--n", "3", "--m", "4", "--out", str(out2), "--quiet") == 0
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_non_utf8_cache_entry_is_recomputed(self, tmp_path):
+        out1 = tmp_path / "a"
+        out2 = tmp_path / "b"
+        assert run("basis", "--n", "3", "--m", "4", "--out", str(out1), "--quiet") == 0
+        path = ResultCache().entry_path(3, 4)
+        raw = bytearray(path.read_bytes())
+        raw[10:12] = b"\xff\xfe"
+        path.write_bytes(bytes(raw))
+        assert run("basis", "--n", "3", "--m", "4", "--out", str(out2), "--quiet") == 0
+        for name in os.listdir(out1):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert ResultCache().get(3, 4) is not None
 
 
 class TestHierarchyCommand:

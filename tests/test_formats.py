@@ -10,6 +10,7 @@ import pytest
 
 from diffops._ratio import Rational as Q
 from diffops.basis import almost_commuting
+from diffops.cli import _render_flow
 from diffops.formats import (
     canonical_json_bytes,
     operator_from_json,
@@ -24,8 +25,9 @@ from diffops.formats import (
     result_from_json,
     result_to_json,
 )
+from diffops.hierarchy import gd_equations
 from diffops.operators import DiffOperator
-from diffops.polynomials import DiffPolynomial, c, u, u_id, y
+from diffops.polynomials import DiffPolynomial, c, c_id, u, u_id, y
 from helpers import random_operator, random_poly
 
 
@@ -108,6 +110,51 @@ class TestCoefficientParsing:
             parse_coeff(text)
         with pytest.raises(ValueError):
             poly_from_json([{"coeff": text, "monomial": [["u", 2, 0, 1]]}])
+
+
+class TestJsonWriter:
+    """The json renders equal the stdlib's indent=2 encoding byte for byte."""
+
+    EDGE_POLYS = [
+        DiffPolynomial.zero(),
+        DiffPolynomial.constant(Q(-7, 3)),
+        DiffPolynomial.constant(5) + u(2),
+        c(4, 2) * y(3, 1) * u(2) - Q(1, 2) * c(11, 10) ** 3,
+        u(2, 12) ** 11 * u(13, 10) + Q(-117649, 10) * y(10, 3) ** 10,
+    ]
+
+    def polys(self):
+        rng = random.Random(505)
+        return [random_poly(rng, indices=(2, 3, 4)) for _ in range(20)] + self.EDGE_POLYS
+
+    def test_poly(self):
+        for p in self.polys():
+            assert render_poly(p, "json") == json.dumps(poly_to_json(p), indent=2)
+
+    def test_operator(self):
+        rng = random.Random(506)
+        ops = [random_operator(rng, max_order=5, indices=(2, 3, 4)) for _ in range(10)]
+        ops += [
+            DiffOperator.zero(),
+            DiffOperator.one(),
+            DiffOperator.from_dict({3: u(2), 1: c(4, 1) * u(3, 10) ** 12}),
+        ]
+        assert any(op.coefficient_at(1).is_zero() for op in ops[:10])
+        for op in ops:
+            assert render_operator(op, "json") == json.dumps(operator_to_json(op), indent=2)
+
+    @pytest.mark.parametrize("stationary", [False, True])
+    def test_flow(self, stationary):
+        equations = gd_equations(4, 5, with_constants=True)
+        assert any(c_id(5, 1) in dict(mono) for eq in equations for mono, _ in eq.rhs.items())
+        for eq in equations:
+            reference = {
+                "variable_index": eq.variable_index,
+                "lhs": None if stationary else eq.lhs_label,
+                "rhs": poly_to_json(eq.rhs),
+                "stationary": stationary,
+            }
+            assert _render_flow(eq, "json", stationary) == json.dumps(reference, indent=2)
 
 
 class TestLatex:
