@@ -72,7 +72,8 @@ def _list_text(items: list, depth: int) -> str:
     if not items:
         return "[]"
     pad = "\n" + "  " * depth
-    return "[" + ",".join(pad + "  " + item for item in items) + pad + "]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def json_object_text(fields: dict) -> str:

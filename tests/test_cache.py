@@ -124,31 +124,16 @@ def _set_factor(factor):
     return edit
 
 
-def _relabel_factor(letter):
-    def edit(payload):
-        terms = _first_terms(payload)
-        terms[1]["monomial"][0] = [letter] + terms[0]["monomial"][0][1:]
-
-    return edit
-
-
-def _resize_factor(extra):
-    def edit(payload):
-        terms = _first_terms(payload)
-        factor = terms[0]["monomial"][0]
-        terms[1]["monomial"][0] = factor[:3] if extra < 0 else factor + [1] * extra
-
-    return edit
-
-
 @pytest.mark.parametrize(
     "edit",
     [
         _set_coeffs("14/9", "28/54", "28/54"),
         _set_coeffs("14/9", "28/18"),
-        _relabel_factor("v"),
-        _resize_factor(-1),
-        _resize_factor(1),
+        # each replaces the first factor of the second term; the first
+        # term's first factor is ["u", 2, 0, 1]
+        _set_factor(["v", 2, 0, 1]),
+        _set_factor(["u", 2, 0]),
+        _set_factor(["u", 2, 0, 1, 1]),
         _set_factor(["u", [2, 0], 0, 1]),
         _set_factor(["c", 4, 0, 1]),
     ],
