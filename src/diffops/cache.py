@@ -61,7 +61,8 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            # RecursionError: the decoder's nesting limit, e.g. "[" * 100000
             return None
         try:
             payload = entry["payload"]

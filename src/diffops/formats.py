@@ -130,8 +130,12 @@ def parse_coeff(text: str) -> tuple:
 def poly_from_json(data: list) -> DiffPolynomial:
     """The polynomial of a ``poly_to_json`` term list.
 
-    Each distinct factor and each distinct coefficient text is decoded once
-    per call; malformed input raises TypeError, KeyError or ValueError.
+    Each distinct factor and each distinct coefficient text is decoded and
+    checked once per call; malformed input raises TypeError, KeyError or
+    ValueError.  Factors may come in any order, but a factor with an
+    exponent < 1, a negative order or a derivative of a constant, a
+    variable repeated within a monomial and a monomial repeated within the
+    polynomial are refused: none of them is canonical.
     """
     factors = {}
     coeffs = {}
@@ -144,13 +148,20 @@ def poly_from_json(data: list) -> DiffPolynomial:
             key = (letter, index, order, exp)
             factor = factors.get(key)
             if factor is None:
+                if exp < 1 or order < 0 or (order and letter == _C_LETTER):
+                    raise ValueError(f"non-canonical factor: {list(key)!r}")
                 factor = factors[key] = (VarId(_LETTER_TO_FAMILY[letter], index, order), exp)
             mono.append(factor)
+        mono = tuple(sorted(mono))
+        if len(dict(mono)) != len(mono):
+            raise ValueError(f"repeated variable in monomial: {term['monomial']!r}")
         text = term["coeff"]
         coeff = coeffs.get(text)
         if coeff is None:
             coeff = coeffs[text] = parse_coeff(text)
-        terms[tuple(sorted(mono))] = coeff
+        terms[mono] = coeff
+    if len(terms) != len(data):
+        raise ValueError("repeated monomial")
     den = lcm(*(d for _, d in terms.values()))
     return DiffPolynomial.from_nums({m: n * (den // d) for m, (n, d) in terms.items()}, den)
 

@@ -117,25 +117,21 @@ def decompose(f: DiffPolynomial) -> Decomposition:
     anti: dict = {}
     den = f._den
     while True:
-        best = None
-        for mono in work:
-            lead = _mono_leader(mono)
-            if lead is None or lead[2] == 0:
-                continue
-            if _exponent_of(mono, lead) != 1:
-                continue
-            if best is None or _rank(lead) > _rank(best):
-                best = lead
-        if best is None:
-            break
-        v = best
-        w_var = (U_FAMILY, v[1], v[2] - 1)
-        # group the reducible monomials with leader v by their w-degree
-        groups: dict = {}
+        # the reducible monomials (leader v = u_l^{(k)}, k >= 1, linear),
+        # bucketed by v; the highest-ranked bucket is reduced this round
+        buckets: dict = {}
         for mono, coeff in work.items():
             lead = _mono_leader(mono)
-            if lead != v or _exponent_of(mono, lead) != 1:
+            if lead is None or lead[2] == 0 or _exponent_of(mono, lead) != 1:
                 continue
+            buckets.setdefault(lead, []).append((mono, coeff))
+        if not buckets:
+            break
+        v = max(buckets, key=_rank)
+        w_var = (U_FAMILY, v[1], v[2] - 1)
+        # group them by their w-degree
+        groups: dict = {}
+        for mono, coeff in buckets[v]:
             rest = _mono_without(mono, v)
             d = _exponent_of(rest, w_var)
             groups.setdefault(d, {})[_mono_without(rest, w_var)] = coeff

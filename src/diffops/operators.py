@@ -2,8 +2,10 @@
 
 Elements of R[d] where R is the differential-polynomial ring: finite sums
 sum_i a_i d^i with composition as multiplication, governed by the rule
-d r = r d + r'.  Powers of d against a coefficient are expanded binomially:
-d^k r = sum_j C(k,j) r^{(j)} d^{k-j}.
+d r = r d + r'.  ``leibniz_product`` expands powers of d against a
+coefficient, d^i r = sum_s C(i,s) r^{(s)} d^{i-s}; it is the one product
+of this ring and of the truncated pseudo-differential operators, where
+i < 0 and C(i,s) is the generalized binomial.
 
 Coefficients are dense in the d-power index (orders stay small here);
 sparsity lives inside the coefficients.
@@ -11,7 +13,7 @@ sparsity lives inside the coefficients.
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._ratio import Rational
@@ -20,6 +22,7 @@ from .polynomials import (
     NotHomogeneousError,
     _derive_raw,
     _mul_into,
+    binary_power,
     join_signed,
     substitute,
 )
@@ -71,7 +74,7 @@ class DiffOperator:
         for power, poly in coeffs.items():
             if power < 0:
                 raise ValueError("negative power in differential operator")
-            polys[power] = _as_poly(poly)
+            polys[power] = poly
         return cls.from_coeffs(polys)
 
     # -- queries ---------------------------------------------------------
@@ -112,34 +115,16 @@ class DiffOperator:
         return self._coeffs[-2].is_zero()
 
     def weight(self) -> int | None:
-        """Weight r such that the coefficient of d^i has weight r - i.
-
-        None for the zero operator; NotHomogeneousError when no single r
-        works.
-        """
-        if not self._coeffs:
-            return None
-        r = None
-        for i, coeff in enumerate(self._coeffs):
-            if coeff.is_zero():
-                continue
-            w = coeff.weight() + i
-            if r is None:
-                r = w
-            elif w != r:
-                raise NotHomogeneousError(f"operator not weight-homogeneous: {self!r}")
-        return r
-
-    def is_homogeneous(self, weight: int | None = None) -> bool:
-        try:
-            w = self.weight()
-        except NotHomogeneousError:
-            return False
-        return w is None or weight is None or w == weight
+        """``operator_weight`` of the coefficients; None for the zero operator."""
+        return operator_weight(self._terms())
 
     def monomials_total(self) -> int:
         """Total monomial count across all coefficients."""
         return sum(len(c) for c in self._coeffs)
+
+    def _terms(self) -> dict:
+        """``{power: coefficient}`` over the nonzero coefficients."""
+        return {i: c for i, c in enumerate(self._coeffs) if c}
 
     # -- ring operations ---------------------------------------------------
 
@@ -173,54 +158,13 @@ class DiffOperator:
             return DiffOperator.zero()
         return DiffOperator(tuple(c * cc for c in self._coeffs))
 
-    def times_d(self, power: int = 1) -> "DiffOperator":
-        """Right-multiply by d^power (a pure coefficient shift)."""
-        if not self._coeffs:
-            return self
-        return DiffOperator((_ZERO_POLY,) * power + self._coeffs)
-
     def __mul__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return DiffOperator.zero()
-        a, b = self._coeffs, other._coeffs
-        # every product coefficient is a numerator dict over da * db
-        da = lcm(*(ai._den for ai in a))
-        db = lcm(*(bj._den for bj in b))
-        out = [dict() for _ in range(len(a) + len(b) - 1)]
-        for j, bj in enumerate(b):
-            if bj.is_zero():
-                continue
-            derivs = [bj._nums]
-            for i, ai in enumerate(a):
-                if ai.is_zero():
-                    continue
-                scale = (da // ai._den) * (db // bj._den)
-                for s in range(i + 1):
-                    while len(derivs) <= s:
-                        derivs.append(_derive_raw(derivs[-1]))
-                    _mul_into(out[i + j - s], ai._nums, derivs[s], comb(i, s) * scale)
-        return DiffOperator.from_coeffs(
-            DiffPolynomial.from_nums(nums, da * db) for nums in out
-        )
+        return DiffOperator.from_dict(leibniz_product(self._terms(), other._terms(), 0))
 
     def __pow__(self, exponent: int) -> "DiffOperator":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = DiffOperator.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def commutator(self, other: "DiffOperator") -> "DiffOperator":
-        return self * other - other * self
+        return binary_power(self, exponent, DiffOperator.one())
 
     def apply(self, f: DiffPolynomial) -> DiffPolynomial:
         """Act on a differential polynomial: sum_i a_i * f^{(i)}."""
@@ -246,7 +190,7 @@ class DiffOperator:
         return f"DiffOperator({self})"
 
     def __str__(self) -> str:
-        return render_terms(dict(enumerate(self._coeffs)), str, _d_text, "*", ("(", ")"))
+        return render_terms(self._terms(), str, _d_text, "*", ("(", ")"))
 
 
 def _as_poly(value) -> DiffPolynomial:
@@ -290,4 +234,58 @@ def render_terms(
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """[a, b] = ab - ba."""
-    return a.commutator(b)
+    return a * b - b * a
+
+
+def leibniz_product(
+    a: Mapping[int, DiffPolynomial], b: Mapping[int, DiffPolynomial], keep_low: int
+) -> dict:
+    """The coefficients of (sum_i a[i] d^i)(sum_j b[j] d^j) on powers >= keep_low.
+
+    ``a`` and ``b`` map powers of d, negative ones allowed, to nonzero
+    coefficients.  Each d^i b[j] expands as sum_s C(i,s) b[j]^{(s)} d^{i-s};
+    C(i,s) is the generalized binomial, an integer for every integer i, so
+    for i >= 0 the sum stops after s = i and for i < 0 it is cut at
+    keep_low.  Returns ``{power: coefficient}``; a coefficient may be zero.
+    """
+    # every product coefficient is a numerator dict over da * db
+    da = lcm(*(ai._den for ai in a.values()))
+    db = lcm(*(bj._den for bj in b.values()))
+    out: dict = {}
+    for j, bj in b.items():
+        derivs = [bj._nums]
+        for i, ai in a.items():
+            smax = i + j - keep_low
+            if smax < 0:
+                continue
+            ai_nums = ai._nums
+            scale = (da // ai._den) * (db // bj._den)
+            coef = 1  # C(i, s)
+            for s in range(smax + 1):
+                if s:
+                    coef = coef * (i - s + 1) // s
+                    if not coef:
+                        break
+                while len(derivs) <= s:
+                    derivs.append(_derive_raw(derivs[-1]))
+                dst = out.setdefault(i + j - s, {})
+                _mul_into(dst, ai_nums, derivs[s], coef * scale)
+    return {p: DiffPolynomial.from_nums(nums, da * db) for p, nums in out.items()}
+
+
+def operator_weight(terms: Mapping[int, DiffPolynomial]) -> int | None:
+    """Weight r such that the coefficient of d^i has weight r - i.
+
+    ``terms`` maps powers of d to nonzero coefficients.  None when it is
+    empty; NotHomogeneousError when no single r works.
+    """
+    r = None
+    for i, coeff in terms.items():
+        w = coeff.weight() + i
+        if r is None:
+            r = w
+        elif w != r:
+            raise NotHomogeneousError(
+                f"operator not weight-homogeneous: weight {w} at d^{i}, {r} before"
+            )
+    return r

@@ -16,8 +16,8 @@ the zero polynomial has ``den == 1``.  So two polynomials are equal
 exactly when their numerator dicts and denominators are, and every hot
 loop (products, derivation, substitution) runs on Python ints.  Rationals
 (``fractions.Fraction``) appear only at the boundary: ``items()``,
-``sorted_terms()``, ``coefficient()``, ``from_dict``, the rational
-constructor and scalar arguments.
+``coefficient()``, ``from_dict``, the rational constructor and scalar
+arguments.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class VarId(NamedTuple):
         if self.family == C_FAMILY:
             return 0
         return self.index + self.order
-
-    def derived(self, times: int = 1) -> "VarId":
-        if self.family == C_FAMILY:
-            raise ValueError("constants have no derivatives")
-        return VarId(self.family, self.index, self.order + times)
 
     def __str__(self) -> str:
         return _var_text(self)
@@ -274,9 +269,6 @@ class DiffPolynomial:
         den = self._den
         return ((m, Rational(c, den)) for m, c in self._nums.items())
 
-    def sorted_terms(self) -> list:
-        return [(m, Rational(num, den)) for m, num, den in self.sorted_num_den()]
-
     def sorted_num_den(self) -> list:
         """[(mono, num, den)] in canonical order, each num/den in lowest terms."""
         den = self._den
@@ -410,18 +402,7 @@ class DiffPolynomial:
         )
 
     def __pow__(self, exponent: int) -> "DiffPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = DiffPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, exponent, DiffPolynomial.one())
 
     # -- differential structure ----------------------------------------
 
@@ -450,6 +431,20 @@ class DiffPolynomial:
 
     def __str__(self) -> str:
         return render_text(self)
+
+
+def binary_power(base, exponent: int, one):
+    """base ** exponent by repeated squaring; ``one`` is the unit of its ring."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _normal_form(nums: dict, den: int) -> tuple:

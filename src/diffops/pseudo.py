@@ -1,13 +1,9 @@
 """Truncated pseudo-differential operators.
 
 Laurent-style operators sum_{i <= top} a_i d^i with finitely many retained
-coefficients (powers top down to ``low``).  Negative powers commute with
-coefficients through the expansion
-
-    d^i r = sum_{s >= 0} C(i, s) r^{(s)} d^{i-s}
-
-with generalized binomial coefficients, which for i = -1 reproduces
-d^{-1} r = r d^{-1} - r' d^{-2} + r'' d^{-3} - ...
+coefficients (powers top down to ``low``).  Products go through
+``operators.leibniz_product``, whose generalized binomial expansion also
+moves negative powers of d past coefficients.
 
 Every product is truncated at a caller-chosen depth; depth bookkeeping
 guarantees that each retained coefficient of a truncated product equals
@@ -17,14 +13,18 @@ multiplication refuses to proceed.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Mapping
 
-from .operators import DiffOperator, _d_text, render_terms
-from .polynomials import DiffPolynomial, NotHomogeneousError, _derive_raw, _mul_into
-
-_ZERO_POLY = DiffPolynomial.zero()
-_ONE_POLY = DiffPolynomial.one()
+from .operators import (
+    _ONE_POLY,
+    _ZERO_POLY,
+    DiffOperator,
+    _d_text,
+    leibniz_product,
+    operator_weight,
+    render_terms,
+)
+from .polynomials import DiffPolynomial
 
 
 class InsufficientDepthError(ValueError):
@@ -63,12 +63,7 @@ class TruncatedPDO:
     def from_operator(cls, op: DiffOperator) -> "TruncatedPDO":
         if op.is_zero():
             return cls({}, top=0, low=0, exact_tail=True)
-        coeffs = {
-            i: op.coefficient_at(i)
-            for i in range(op.order + 1)
-            if not op.coefficient_at(i).is_zero()
-        }
-        return cls(coeffs, top=op.order, low=0, exact_tail=True)
+        return cls(op._terms(), top=op.order, low=0, exact_tail=True)
 
     # -- queries ------------------------------------------------------------
 
@@ -114,14 +109,7 @@ class TruncatedPDO:
 
     def weight(self) -> int | None:
         """Weight r such that the coefficient of d^i has weight r - i."""
-        r = None
-        for i, coeff in self._coeffs.items():
-            w = coeff.weight() + i
-            if r is None:
-                r = w
-            elif w != r:
-                raise NotHomogeneousError("pseudo-differential operator not homogeneous")
-        return r
+        return operator_weight(self._coeffs)
 
     def agrees_with(self, other: "TruncatedPDO", low: int) -> bool:
         """Coefficient-wise equality on powers >= low."""
@@ -186,28 +174,7 @@ class TruncatedPDO:
                 f"right factor retained to d^{other._low}: product coefficients below "
                 f"d^{self._top + other._low} are not exact (requested d^{keep_low})"
             )
-        # every product coefficient is a numerator dict over da * db
-        da = lcm(*(ai._den for ai in self._coeffs.values()))
-        db = lcm(*(bj._den for bj in other._coeffs.values()))
-        out: dict = {}
-        for j, bj in other._coeffs.items():
-            derivs = [bj._nums]
-            for i, ai in self._coeffs.items():
-                smax = i + j - keep_low
-                if smax < 0:
-                    continue
-                ai_nums = ai._nums
-                scale = (da // ai._den) * (db // bj._den)
-                coef = 1  # C(i, s), an integer for every integer i
-                for s in range(smax + 1):
-                    if s:
-                        coef = coef * (i - s + 1) // s
-                        if not coef:
-                            break
-                    while len(derivs) <= s:
-                        derivs.append(_derive_raw(derivs[-1]))
-                    dst = out.setdefault(i + j - s, {})
-                    _mul_into(dst, ai_nums, derivs[s], coef * scale)
+        coeffs = leibniz_product(self._coeffs, other._coeffs, keep_low)
         top = self._top + other._top
         # Negative left powers expand to infinite tails against non-constant
         # coefficients, so the product tail is known-zero only when the left
@@ -219,7 +186,6 @@ class TruncatedPDO:
                 exact = keep_low <= other._low
             elif keep_low <= self._low + other._low:
                 exact = all(c.derive().is_zero() for c in other._coeffs.values())
-        coeffs = {p: DiffPolynomial.from_nums(nums, da * db) for p, nums in out.items()}
         return TruncatedPDO(coeffs, top=top, low=min(keep_low, top), exact_tail=exact)
 
     def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":

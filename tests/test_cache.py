@@ -60,6 +60,13 @@ def test_non_utf8_entry_is_a_miss(tmp_path):
     assert cache.get(3, 4) is None
 
 
+def test_deeply_nested_entry_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    cache.entry_path(3, 4).write_text("[" * 100000, encoding="utf-8")
+    assert cache.get(3, 4) is None
+
+
 def test_put_writes_one_sorted_json_text(tmp_path):
     result = almost_commuting(3, 4)
     path = ResultCache(tmp_path).put(3, 4, result)
@@ -124,6 +131,11 @@ def _set_factor(factor):
     return edit
 
 
+def _repeat_first_monomial(payload):
+    terms = _first_terms(payload)
+    terms[1]["monomial"] = terms[0]["monomial"]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -136,6 +148,13 @@ def _set_factor(factor):
         _set_factor(["u", 2, 0, 1, 1]),
         _set_factor(["u", [2, 0], 0, 1]),
         _set_factor(["c", 4, 0, 1]),
+        # the second term is 14/27 u_2^2 u_3
+        _set_factor(["u", 2, 0, 0]),
+        _set_factor(["u", 2, -1, 2]),
+        _set_factor(["c", [4, 1], 1, 1]),
+        _set_factor(["u", 3, 0, 1]),
+        _set_factor(["u", 3, 0, 2]),
+        _repeat_first_monomial,
     ],
     ids=[
         "non-canonical-twice",
@@ -145,6 +164,12 @@ def _set_factor(factor):
         "long-factor",
         "list-index-on-u",
         "int-index-on-c",
+        "zero-exponent",
+        "negative-order",
+        "derived-constant",
+        "repeated-factor",
+        "repeated-variable",
+        "repeated-monomial",
     ],
 )
 def test_decode_memos_accept_nothing_the_parser_rejects(tmp_path, edit):

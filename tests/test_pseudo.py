@@ -1,10 +1,12 @@
 """Truncated pseudo-differential calculus: roots, powers, positive parts."""
 
+from math import comb
+
 import pytest
 
 from diffops._ratio import Rational
 from diffops.operators import DiffOperator
-from diffops.polynomials import DiffPolynomial, u
+from diffops.polynomials import DiffPolynomial, NotHomogeneousError, u
 from diffops.pseudo import (
     InsufficientDepthError,
     TruncatedPDO,
@@ -39,6 +41,17 @@ class TestCommutationExpansion:
         assert result.coefficient_at(-2) == -u(2, 1)
         assert result.coefficient_at(-3) == u(2, 2)
         assert result.low == -3 and result.truncated
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_negative_powers_against_multiplication(self, k):
+        # d^{-k} r = sum_s (-1)^s C(k+s-1, s) r^{(s)} d^{-k-s}, with the
+        # binomial from math.comb rather than the product's recurrence
+        r = u(2) * u(3, 1) + Rational(1, 2) * u(3)
+        d_k = TruncatedPDO({-k: ONE}, top=-k, low=-k, exact_tail=True)
+        result = d_k.mul_keep_low(as_pdo(DiffOperator.from_coeffs([r])), -k - 4)
+        for s in range(5):
+            expected = (-1) ** s * comb(k + s - 1, s) * r.derive(s)
+            assert result.coefficient_at(-k - s) == expected
 
     def test_d_inverse_is_two_sided_inverse(self):
         lhs = as_pdo(D()).mul_keep_low(d_inverse(), -2)
@@ -106,6 +119,14 @@ class TestNthRoot:
             nth_root(DiffOperator.from_dict({2: 1, 1: u(2)}), 2)
         with pytest.raises(ValueError):
             nth_root(DiffOperator.d(1), 2)
+
+
+class TestWeight:
+    def test_mixed_weights_raise(self):
+        # weight 1 at d^1, weight 3 - 1 = 2 at d^{-1}
+        mixed = TruncatedPDO({1: ONE, -1: u(3)}, top=1, low=-1)
+        with pytest.raises(NotHomogeneousError):
+            mixed.weight()
 
 
 class TestPower:
