@@ -2,8 +2,9 @@
 
 Entries are JSON files written atomically (temp file + rename) and
 protected by a content checksum: a corrupt or truncated entry is treated
-as a miss, never served.  Concurrent writers of the same key converge to
-one valid entry because the final rename is atomic.
+as a miss, never served, and so is a valid entry filed under another key.
+Concurrent writers of the same key converge to one valid entry because
+the final rename is atomic.
 
 The cache root comes from the DIFFOPS_CACHE_DIR environment variable and
 falls back to a per-user cache directory.  The format version is embedded
@@ -71,6 +72,9 @@ class ResultCache:
             if entry["key"] != [n, m]:
                 return None
             if entry["checksum"] != _checksum(payload):
+                return None
+            # the checksum covers the payload only, not the key beside it
+            if (payload["n"], payload["m"]) != (n, m):
                 return None
             return result_from_json(payload)
         except (KeyError, TypeError, ValueError):

@@ -57,13 +57,23 @@ def _factor_to_json(vid: VarId, exp: int) -> list:
 
 
 def poly_to_json(p: DiffPolynomial) -> list:
-    return [
-        {
-            "coeff": ratio_text(num, den),
-            "monomial": [_factor_to_json(vid, exp) for vid, exp in mono],
-        }
-        for mono, num, den in p.sorted_num_den()
-    ]
+    """The term list ``[{"coeff": "num/den", "monomial": [factor, ...]}, ...]``
+    in canonical order.
+
+    Each distinct factor is encoded once per call, so terms that share a
+    factor share its list: copy a term before editing it in place.
+    """
+    factors = {}
+    terms = []
+    for mono, num, den in p.sorted_num_den():
+        monomial = []
+        for factor in mono:
+            encoded = factors.get(factor)
+            if encoded is None:
+                encoded = factors[factor] = _factor_to_json(*factor)
+            monomial.append(encoded)
+        terms.append({"coeff": ratio_text(num, den), "monomial": monomial})
+    return terms
 
 
 def _list_text(items: list, depth: int) -> str:

@@ -20,6 +20,7 @@ from ._ratio import Rational
 from .polynomials import (
     DiffPolynomial,
     NotHomogeneousError,
+    _acc,
     _derive_raw,
     _mul_into,
     binary_power,
@@ -247,30 +248,69 @@ def leibniz_product(
     C(i,s) is the generalized binomial, an integer for every integer i, so
     for i >= 0 the sum stops after s = i and for i < 0 it is cut at
     keep_low.  Returns ``{power: coefficient}``; a coefficient may be zero.
+
+    For each left power i, the terms C(i,s) b[j]^{(s)} that land on one
+    output power p = i + j - s are summed first, and a[i] multiplies that
+    sum once.  In a homogeneous operator they all have one weight, so
+    their monomials overlap and the sum is much shorter than its parts.
+    The integers are only reassociated, so the result is unchanged.  The
+    chain b[j], b[j]', b[j]'', ... comes from ``_derivatives``, which
+    keeps it on the polynomial b[j] for as long as that polynomial lives:
+    a right factor used again (the root in every product Q^m, the known
+    root coefficients in every ``nth_root`` step) is derived only past
+    the depth an earlier product reached.
     """
     # every product coefficient is a numerator dict over da * db
     da = lcm(*(ai._den for ai in a.values()))
     db = lcm(*(bj._den for bj in b.values()))
     out: dict = {}
-    for j, bj in b.items():
-        derivs = [bj._nums]
-        for i, ai in a.items():
+    for i, ai in a.items():
+        # p -> [(b[j]^{(s)}, C(i,s) * db / den_j)] over all j and s
+        parts: dict = {}
+        for j, bj in b.items():
             smax = i + j - keep_low
             if smax < 0:
                 continue
-            ai_nums = ai._nums
-            scale = (da // ai._den) * (db // bj._den)
+            if 0 <= i < smax:
+                smax = i  # C(i, s) = 0 for s > i
+            derivs = _derivatives(bj, smax)
+            scale = db // bj._den
             coef = 1  # C(i, s)
-            for s in range(smax + 1):
+            for s in range(min(smax, len(derivs) - 1) + 1):
                 if s:
                     coef = coef * (i - s + 1) // s
-                    if not coef:
-                        break
-                while len(derivs) <= s:
-                    derivs.append(_derive_raw(derivs[-1]))
-                dst = out.setdefault(i + j - s, {})
-                _mul_into(dst, ai_nums, derivs[s], coef * scale)
+                if derivs[s]:
+                    parts.setdefault(i + j - s, []).append((derivs[s], coef * scale))
+        scale = da // ai._den
+        for p, terms in parts.items():
+            if len(terms) == 1:
+                nums, coef = terms[0]
+            else:
+                nums, coef = {}, 1
+                for deriv, c in terms:
+                    for mono, num in deriv.items():
+                        _acc(nums, mono, num * c)
+            if nums:
+                _mul_into(out.setdefault(p, {}), ai._nums, nums, coef * scale)
     return {p: DiffPolynomial.from_nums(nums, da * db) for p, nums in out.items()}
+
+
+def _derivatives(poly: DiffPolynomial, top: int) -> list:
+    """[poly, poly', ..., poly^{(top)}] as numerator dicts, shorter when a
+    derivative is zero (it then ends with that empty dict).
+
+    The chain is kept in ``poly._derivs``.  A longer chain replaces the
+    stored list instead of extending it, and the dicts are never mutated,
+    so a list once stored never changes and callers in several threads
+    need no lock: at worst two of them derive the same step.
+    """
+    derivs = poly._derivs or [poly._nums]
+    if len(derivs) <= top and derivs[-1]:
+        derivs = list(derivs)
+        while len(derivs) <= top and derivs[-1]:
+            derivs.append(_derive_raw(derivs[-1]))
+        poly._derivs = derivs
+    return derivs
 
 
 def operator_weight(terms: Mapping[int, DiffPolynomial]) -> int | None:

@@ -18,6 +18,17 @@ loop (products, derivation, substitution) runs on Python ints.  Rationals
 (``fractions.Fraction``) appear only at the boundary: ``items()``,
 ``coefficient()``, ``from_dict``, the rational constructor and scalar
 arguments.
+
+A polynomial may also carry ``_derivs``, its derivative chain
+``[nums, nums', nums'', ...]`` as numerator dicts.  It is None until
+``operators.leibniz_product`` first needs a derivative of the polynomial
+as a right coefficient; only that function sets it, and the chain lives
+as long as the polynomial, so a right factor multiplied again is not
+derived again.
+``substitute`` keeps its own per-call table instead: its ``q_l`` are the
+long-lived solution polynomials, and chains kept on them would hold
+every ``q_l^{(k)}`` of a call alive after the call, where the table drops
+each one after the last polynomial that uses it.
 """
 
 from __future__ import annotations
@@ -212,7 +223,7 @@ class DiffPolynomial:
     the module docstring).
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_derivs")
 
     def __init__(self, terms: Mapping | None = None):
         """sum c * mono over ``terms``, which maps canonical monomials to
@@ -221,6 +232,7 @@ class DiffPolynomial:
         den = lcm(*(c.denominator for c in terms.values()))
         nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
         self._nums, self._den = _normal_form(nums, den)
+        self._derivs = None
 
     # -- construction -------------------------------------------------
 
@@ -233,6 +245,7 @@ class DiffPolynomial:
         """
         p = cls.__new__(cls)
         p._nums, p._den = _normal_form(nums, den)
+        p._derivs = None
         return p
 
     @classmethod

@@ -203,6 +203,18 @@ def test_key_mismatch_rejected(tmp_path):
     assert cache.get(3, 5) is None
 
 
+def test_entry_of_another_key_is_a_miss(tmp_path):
+    # a valid (3, 4) entry relabelled as (3, 5): key and file name agree,
+    # and the checksum still matches because it covers the payload only
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    entry = json.loads(cache.entry_path(3, 4).read_text(encoding="utf-8"))
+    entry["key"] = [3, 5]
+    cache.entry_path(3, 5).write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+    assert cache.get(3, 5) is None
+    assert cache.get(3, 4) is not None
+
+
 def test_no_temp_files_left_behind(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(3, 2, almost_commuting(3, 2))

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from diffops._ratio import Rational
-from diffops.operators import DiffOperator, commutator
+from diffops.operators import DiffOperator, commutator, leibniz_product
 from diffops.polynomials import DiffPolynomial, NotHomogeneousError, u, y
-from helpers import random_homogeneous, random_normal_form, random_operator
+from helpers import random_homogeneous, random_normal_form, random_operator, random_poly
 
 D = DiffOperator.d
 
@@ -182,3 +182,41 @@ class TestEvaluate:
         a = op({2: 1, 1: y(2), 0: y(3) + u(2)})
         out = a.evaluate({2: u(2), 3: u(3) ** 2})
         assert out == op({2: 1, 1: u(2), 0: u(3) ** 2 + u(2)})
+
+
+def _fresh(terms: dict) -> dict:
+    """Equal coefficients as new polynomials, with no derivatives kept."""
+    return {p: DiffPolynomial(dict(c.items())) for p, c in terms.items()}
+
+
+def _leibniz_factors(seed: int) -> tuple:
+    # negative powers on both sides, a constant among the right coefficients
+    rng = random.Random(seed)
+    a = {p: random_poly(rng, max_weight=5) for p in (2, 0, -1, -3)}
+    b = {p: random_poly(rng, max_weight=5) for p in (1, -1, -2)}
+    b[0] = DiffPolynomial.constant(Rational(-5, 3))
+    return {p: c for p, c in a.items() if c}, {p: c for p, c in b.items() if c}
+
+
+class TestLeibnizProduct:
+    @pytest.mark.parametrize("keep_low", [3, 0, -2, -6])
+    def test_grouped_product_is_sum_of_term_products(self, keep_low):
+        a, b = _leibniz_factors(601)
+        got = leibniz_product(a, b, keep_low)
+        want: dict = {}
+        for i, ai in a.items():
+            for j, bj in _fresh(b).items():
+                for p, c in leibniz_product({i: ai}, {j: bj}, keep_low).items():
+                    want[p] = want.get(p, DiffPolynomial.zero()) + c
+        for p in set(got) | set(want):
+            assert p >= keep_low
+            assert got.get(p, DiffPolynomial.zero()) == want.get(p, DiffPolynomial.zero())
+
+    @pytest.mark.parametrize("order", [(-1, -7), (-7, -1)])
+    def test_kept_derivatives_give_fresh_results(self, order):
+        # the right factor keeps its derivative chain between products; a
+        # shallow product after a deep one, or the reverse, must not differ
+        # from a product with an equal factor that has no chain yet
+        a, b = _leibniz_factors(602)
+        for keep_low in order:
+            assert leibniz_product(a, b, keep_low) == leibniz_product(a, _fresh(b), keep_low)

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from diffops._ratio import Rational
+from diffops import operators
 from diffops.operators import DiffOperator
 from diffops.polynomials import DiffPolynomial, NotHomogeneousError, u
 from diffops.pseudo import (
@@ -119,6 +120,26 @@ class TestNthRoot:
             nth_root(DiffOperator.from_dict({2: 1, 1: u(2)}), 2)
         with pytest.raises(ValueError):
             nth_root(DiffOperator.d(1), 2)
+
+
+    def test_root_and_powers_derive_each_dict_once(self, monkeypatch):
+        # every right factor keeps its chain b, b', b'', ...: the root's
+        # coefficients are derived once across all nth_root steps and all
+        # products Q^m, which reuse the root's chains
+        derived = []
+        original = operators._derive_raw
+
+        def counting(terms):
+            derived.append(frozenset(terms.items()))
+            return original(terms)
+
+        monkeypatch.setattr(operators, "_derive_raw", counting)
+        root = nth_root(L(3), 13)
+        q_power = root
+        for m in range(2, 15):
+            q_power = q_power.mul_keep_low(root, -(14 - m))
+        assert derived
+        assert len(set(derived)) == len(derived)
 
 
 class TestWeight:
