@@ -64,17 +64,13 @@ def _write(path: Path, content: str, quiet: bool) -> None:
         print(path)
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out)
-
-
 # -- basis ---------------------------------------------------------------
 
 
 def cmd_basis(args) -> int:
     cache = ResultCache()
     result = almost_commuting(args.n, args.m, cache=cache)
-    out = _out_dir(args)
+    out = Path(args.out)
     ext = _EXTENSIONS[args.format]
     _write(
         out / f"({args.n}_{args.m})[P].{ext}",
@@ -114,7 +110,7 @@ def _render_flow(eq, fmt: str, stationary: bool) -> str:
 def cmd_hierarchy(args) -> int:
     cache = ResultCache()
     equations = gd_equations(args.n, args.m, with_constants=args.with_constants, cache=cache)
-    out = _out_dir(args)
+    out = Path(args.out)
     ext = _EXTENSIONS[args.format]
     suffix = "GD" if not args.stationary else "SGD"
     for eq in equations:

@@ -33,6 +33,7 @@ from .polynomials import (
     C_FAMILY,
     DiffPolynomial,
     FAMILY_LETTERS,
+    U_FAMILY,
     VarId,
     ratio_text,
     render_sum,
@@ -142,24 +143,36 @@ def poly_from_json(data: list) -> DiffPolynomial:
 
     Each distinct factor and each distinct coefficient text is decoded and
     checked once per call; malformed input raises TypeError, KeyError or
-    ValueError.  Factors may come in any order, but a factor with an
-    exponent < 1, a negative order or a derivative of a constant, a
-    variable repeated within a monomial and a monomial repeated within the
-    polynomial are refused: none of them is canonical.
+    ValueError.  Factors may come in any order, but none of these is
+    canonical and each is refused: an order, exponent or index that is not
+    a plain int (``true`` and ``2.0`` are not), an exponent < 1, a negative
+    order, a u/y index < 2, a c index that is not a pair, a derivative of
+    a constant, and a repeated variable in a monomial or monomial in the
+    polynomial.
     """
-    factors = {}
+    return _poly_from_json(data, {})
+
+
+def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
+    """``poly_from_json`` with a factor memo (raw factor -> ``(VarId, exp)``)
+    that the caller may share across polynomials."""
     coeffs = {}
     terms = {}
     for term in data:
         mono = []
         for letter, index, order, exp in term["monomial"]:
-            if letter == _C_LETTER:
-                index = (index[0], index[1])
-            key = (letter, index, order, exp)
+            if letter == _C_LETTER:  # checked here: the key holds only the pair's type
+                index = tuple(index)
+                if len(index) != 2 or type(index[0]) is not int or type(index[1]) is not int:
+                    raise ValueError(f"non-canonical constant index: {index!r}")
+            # as dict keys true == 1 and 2.0 == 2, so the key holds the types
+            key = (letter, index, order, exp, type(index), type(order), type(exp))
             factor = factors.get(key)
             if factor is None:
-                if exp < 1 or order < 0 or (order and letter == _C_LETTER):
-                    raise ValueError(f"non-canonical factor: {list(key)!r}")
+                if type(order) is not int or type(exp) is not int or exp < 1 or order < 0 or (
+                    order if letter == _C_LETTER else type(index) is not int or index < 2
+                ):
+                    raise ValueError(f"non-canonical factor: {key[:4]!r}")
                 factor = factors[key] = (VarId(_LETTER_TO_FAMILY[letter], index, order), exp)
             mono.append(factor)
         mono = tuple(sorted(mono))
@@ -181,9 +194,7 @@ def operator_to_json(op: DiffOperator) -> dict:
         return {"order": None, "coefficients": []}
     return {
         "order": op.order,
-        "coefficients": [
-            poly_to_json(op.coefficient_at(i)) for i in range(op.order + 1)
-        ],
+        "coefficients": [poly_to_json(c) for c in op.coefficients()],
     }
 
 
@@ -204,11 +215,26 @@ def result_to_json(result: AlmostCommutingResult) -> dict:
 
 
 def result_from_json(data: dict) -> AlmostCommutingResult:
+    """The result of a ``result_to_json`` payload.  Besides what
+    ``poly_from_json`` refuses, ValueError for another format version, a
+    ``P`` order other than its coefficient count - 1, a zero top ``P``
+    coefficient, an ``H`` count other than n - 1 and a factor other than u
+    (checked once per distinct factor: all polynomials share one memo)."""
+    n, P, H = data["n"], data["P"], data["H"]
+    coeffs = P["coefficients"]
+    if data["format_version"] != FORMAT_VERSION or len(H) != n - 1:
+        raise ValueError("inconsistent result payload")
+    if P["order"] != len(coeffs) - 1 or not coeffs or not coeffs[-1]:
+        raise ValueError("non-canonical P")
+    factors: dict = {}
+    polys = [_poly_from_json(p, factors) for p in coeffs + H]
+    if any(vid[0] != U_FAMILY for vid, _ in factors.values()):
+        raise ValueError("a result holds polynomials in u only")
     return AlmostCommutingResult(
-        n=data["n"],
+        n=n,
         m=data["m"],
-        P=operator_from_json(data["P"]),
-        H=tuple(poly_from_json(h) for h in data["H"]),
+        P=DiffOperator.from_coeffs(polys[: len(coeffs)]),
+        H=tuple(polys[len(coeffs) :]),
     )
 
 
@@ -259,8 +285,7 @@ def _d_latex(power: int) -> str:
 
 
 def operator_latex(op: DiffOperator) -> str:
-    terms = dict(enumerate(op.coefficients()))
-    return render_terms(terms, poly_latex, _d_latex, "", ("\\left(", "\\right)"))
+    return render_terms(op._coeffs, poly_latex, _d_latex, "", ("\\left(", "\\right)"))
 
 
 # -- dispatch ------------------------------------------------------------------

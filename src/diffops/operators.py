@@ -7,14 +7,16 @@ coefficient, d^i r = sum_s C(i,s) r^{(s)} d^{i-s}; it is the one product
 of this ring and of the truncated pseudo-differential operators, where
 i < 0 and C(i,s) is the generalized binomial.
 
-Coefficients are dense in the d-power index (orders stay small here);
-sparsity lives inside the coefficients.
+An operator is a sparse ``{power: nonzero coefficient}`` map in ascending
+power order.  The order is not cosmetic: ``leibniz_product`` walks both
+maps in order, which decides which of two equal monomial tuples a product
+keeps, and so how much memory a long computation holds.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from ._ratio import Rational
 from .polynomials import (
@@ -35,55 +37,47 @@ _ONE_POLY = DiffPolynomial.one()
 
 
 class DiffOperator:
-    """A differential operator sum_i coeffs[i] * d^i."""
+    """A differential operator sum_i a_i d^i, held as ``{i: a_i}``."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Sequence[DiffPolynomial] = ()):
-        # trusted: trailing coefficient nonzero unless the operator is zero
-        self._coeffs = tuple(coeffs)
+    def __init__(self, coeffs: Mapping[int, DiffPolynomial] | None = None):
+        # trusted: powers >= 0 in ascending order, nonzero coefficients
+        self._coeffs = {} if coeffs is None else coeffs
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def zero(cls) -> "DiffOperator":
-        return cls(())
+        return cls()
 
     @classmethod
     def one(cls) -> "DiffOperator":
-        return cls((_ONE_POLY,))
+        return cls({0: _ONE_POLY})
 
     @classmethod
     def d(cls, power: int = 1) -> "DiffOperator":
         if power < 0:
             raise ValueError("negative powers of d are not operators")
-        return cls((_ZERO_POLY,) * power + (_ONE_POLY,))
+        return cls({power: _ONE_POLY})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "DiffOperator":
-        polys = [_as_poly(c) for c in coeffs]
-        while polys and polys[-1].is_zero():
-            polys.pop()
-        return cls(tuple(polys))
+        return cls.from_dict(dict(enumerate(coeffs)))
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, DiffPolynomial]) -> "DiffOperator":
-        if not coeffs:
-            return cls(())
-        top = max(coeffs)
-        polys = [_ZERO_POLY] * (top + 1)
-        for power, poly in coeffs.items():
-            if power < 0:
-                raise ValueError("negative power in differential operator")
-            polys[power] = poly
-        return cls.from_coeffs(polys)
+        """sum_i coeffs[i] d^i over powers in any order."""
+        if any(power < 0 for power in coeffs):
+            raise ValueError("negative power in differential operator")
+        return cls(_ascending({p: _as_poly(c) for p, c in coeffs.items()}))
 
     # -- queries ---------------------------------------------------------
 
     @property
     def order(self):
         """Order of the operator; -inf for the zero operator."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return next(reversed(self._coeffs)) if self._coeffs else NEG_INFINITY
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -92,40 +86,31 @@ class DiffOperator:
         return bool(self._coeffs)
 
     def coefficient_at(self, power: int) -> DiffPolynomial:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return _ZERO_POLY
+        return self._coeffs.get(power, _ZERO_POLY)
 
     def coefficients(self) -> tuple:
-        return self._coeffs
+        """(a_0, ..., a_order), zero coefficients included."""
+        return tuple(map(self.coefficient_at, range(self.order + 1))) if self._coeffs else ()
 
     def leading_coefficient(self) -> DiffPolynomial:
         if not self._coeffs:
             raise ValueError("the zero operator has no leading coefficient")
-        return self._coeffs[-1]
+        return self._coeffs[self.order]
 
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == _ONE_POLY
+        return bool(self._coeffs) and self.leading_coefficient() == _ONE_POLY
 
     def is_normal_form(self) -> bool:
         """Monic with zero coefficient in degree order-1."""
-        if not self.is_monic():
-            return False
-        if len(self._coeffs) < 2:
-            return True
-        return self._coeffs[-2].is_zero()
+        return self.is_monic() and self.order - 1 not in self._coeffs
 
     def weight(self) -> int | None:
         """``operator_weight`` of the coefficients; None for the zero operator."""
-        return operator_weight(self._terms())
+        return operator_weight(self._coeffs)
 
     def monomials_total(self) -> int:
         """Total monomial count across all coefficients."""
-        return sum(len(c) for c in self._coeffs)
-
-    def _terms(self) -> dict:
-        """``{power: coefficient}`` over the nonzero coefficients."""
-        return {i: c for i, c in enumerate(self._coeffs) if c}
+        return sum(len(c) for c in self._coeffs.values())
 
     # -- ring operations ---------------------------------------------------
 
@@ -137,13 +122,7 @@ class DiffOperator:
     def __add__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, coeff in enumerate(b):
-            out[i] = out[i] + coeff
-        return DiffOperator.from_coeffs(out)
+        return DiffOperator(_add_coeffs(self._coeffs, other._coeffs))
 
     def __sub__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):
@@ -151,18 +130,18 @@ class DiffOperator:
         return self + (-other)
 
     def __neg__(self) -> "DiffOperator":
-        return DiffOperator(tuple(-c for c in self._coeffs))
+        return DiffOperator({i: -c for i, c in self._coeffs.items()})
 
     def scale(self, scalar) -> "DiffOperator":
         cc = Rational(scalar)
         if not cc:
             return DiffOperator.zero()
-        return DiffOperator(tuple(c * cc for c in self._coeffs))
+        return DiffOperator({i: c * cc for i, c in self._coeffs.items()})
 
     def __mul__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return DiffOperator.from_dict(leibniz_product(self._terms(), other._terms(), 0))
+        return DiffOperator(_ascending(leibniz_product(self._coeffs, other._coeffs, 0)))
 
     def __pow__(self, exponent: int) -> "DiffOperator":
         return binary_power(self, exponent, DiffOperator.one())
@@ -170,12 +149,12 @@ class DiffOperator:
     def apply(self, f: DiffPolynomial) -> DiffPolynomial:
         """Act on a differential polynomial: sum_i a_i * f^{(i)}."""
         out = DiffPolynomial.zero()
-        df = f
-        for i, coeff in enumerate(self._coeffs):
-            if i:
+        df, derived = f, 0
+        for i, coeff in self._coeffs.items():
+            for _ in range(i - derived):
                 df = df.derive()
-            if not coeff.is_zero():
-                out = out + coeff * df
+            derived = i
+            out = out + coeff * df
         return out
 
     def evaluate(self, assignments: Mapping) -> "DiffOperator":
@@ -183,7 +162,8 @@ class DiffOperator:
 
         All coefficients share one derivative table (see ``substitute``).
         """
-        return DiffOperator.from_coeffs(substitute(self._coeffs, assignments))
+        polys = substitute(list(self._coeffs.values()), assignments)
+        return DiffOperator({i: c for i, c in zip(self._coeffs, polys) if c})
 
     # -- rendering -----------------------------------------------------------
 
@@ -191,13 +171,24 @@ class DiffOperator:
         return f"DiffOperator({self})"
 
     def __str__(self) -> str:
-        return render_terms(self._terms(), str, _d_text, "*", ("(", ")"))
+        return render_terms(self._coeffs, str, _d_text, "*", ("(", ")"))
+
+
+def _ascending(terms: Mapping[int, DiffPolynomial]) -> dict:
+    """``terms`` in ascending power order, zero coefficients dropped."""
+    return {p: terms[p] for p in sorted(terms) if terms[p]}
+
+
+def _add_coeffs(a: Mapping[int, DiffPolynomial], b: Mapping[int, DiffPolynomial]) -> dict:
+    """The sum of two ``{power: coefficient}`` maps, ``_ascending``."""
+    out = dict(a)
+    for p, coeff in b.items():
+        out[p] = out[p] + coeff if p in out else coeff
+    return _ascending(out)
 
 
 def _as_poly(value) -> DiffPolynomial:
-    if isinstance(value, DiffPolynomial):
-        return value
-    return DiffPolynomial.constant(value)
+    return value if isinstance(value, DiffPolynomial) else DiffPolynomial.constant(value)
 
 
 def _d_text(power: int) -> str:

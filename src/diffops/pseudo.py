@@ -19,6 +19,7 @@ from .operators import (
     _ONE_POLY,
     _ZERO_POLY,
     DiffOperator,
+    _add_coeffs,
     _d_text,
     leibniz_product,
     operator_weight,
@@ -63,7 +64,7 @@ class TruncatedPDO:
     def from_operator(cls, op: DiffOperator) -> "TruncatedPDO":
         if op.is_zero():
             return cls({}, top=0, low=0, exact_tail=True)
-        return cls(op._terms(), top=op.order, low=0, exact_tail=True)
+        return cls(op._coeffs, top=op.order, low=0, exact_tail=True)
 
     # -- queries ------------------------------------------------------------
 
@@ -96,17 +97,6 @@ class TruncatedPDO:
             )
         return self._coeffs.get(power, _ZERO_POLY)
 
-    def leading_coefficient(self) -> DiffPolynomial:
-        if not self._coeffs:
-            raise ValueError("zero operator has no leading coefficient")
-        return self._coeffs[max(self._coeffs)]
-
-    @property
-    def order(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero operator has no order")
-        return max(self._coeffs)
-
     def weight(self) -> int | None:
         """Weight r such that the coefficient of d^i has weight r - i."""
         return operator_weight(self._coeffs)
@@ -138,11 +128,7 @@ class TruncatedPDO:
         if self._exact_tail and other._exact_tail:
             low = min(self._low, other._low)
         exact = self._exact_tail and other._exact_tail
-        out: dict = {}
-        for p in set(self._coeffs) | set(other._coeffs):
-            if p < low:
-                continue
-            out[p] = self._coeffs.get(p, _ZERO_POLY) + other._coeffs.get(p, _ZERO_POLY)
+        out = {p: c for p, c in _add_coeffs(self._coeffs, other._coeffs).items() if p >= low}
         return TruncatedPDO(out, top=max(self._top, other._top), low=low, exact_tail=exact)
 
     def __neg__(self) -> "TruncatedPDO":
@@ -191,10 +177,10 @@ class TruncatedPDO:
     def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":
         """exponent-th power with per-product depth bookkeeping.
 
-        The result is exact on powers >= -tail_depth; each intermediate
-        product keeps just enough extra depth for that.  For a truncated
-        factor of top 1 (an n-th root) the factor must carry depth at
-        least tail_depth + exponent - 1.
+        The result is exact on powers >= -tail_depth (tail_depth may be
+        negative); each intermediate product keeps just enough extra depth
+        for that.  For a truncated factor of top 1 (an n-th root) the
+        factor must carry depth at least tail_depth + exponent - 1.
         """
         if exponent < 1:
             raise ValueError("exponent must be positive")
@@ -245,9 +231,8 @@ def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
     for t in range(1, depth + 1):
         target = n - 1 - t
         known = TruncatedPDO(found, top=1, low=1 - t, exact_tail=True)
-        acc = known
-        for factor in range(2, n + 1):
-            acc = acc.mul_keep_low(known, target - (n - factor))
+        # exact on powers >= target: the j-th factor keeps powers >= j - t - 1
+        acc = known.power(n, t + 1 - n)
         mismatch = op.coefficient_at(target) - acc.coefficient_at(target)
         q_t = mismatch / n
         if not q_t.is_zero():

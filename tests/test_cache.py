@@ -155,6 +155,11 @@ def _repeat_first_monomial(payload):
         _set_factor(["u", 3, 0, 1]),
         _set_factor(["u", 3, 0, 2]),
         _repeat_first_monomial,
+        _set_factor(["u", 2, 0, True]),  # a dict key equal to the first term's
+        _set_factor(["u", 2, 0, 1.5]),
+        _set_factor(["u", 2, 0.0, 2]),
+        _set_factor(["u", 1, 0, 2]),
+        _set_factor(["c", ["a", "b"], 0, 2]),
     ],
     ids=[
         "non-canonical-twice",
@@ -170,9 +175,63 @@ def _repeat_first_monomial(payload):
         "repeated-factor",
         "repeated-variable",
         "repeated-monomial",
+        "bool-exponent",
+        "fractional-exponent",
+        "float-order",
+        "index-below-2",
+        "non-int-constant-index",
     ],
 )
 def test_decode_memos_accept_nothing_the_parser_rejects(tmp_path, edit):
+    cache = ResultCache(tmp_path)
+    cache.put(3, 7, almost_commuting(3, 7))
+    _tamper(cache, 3, 7, edit)
+    assert cache.get(3, 7) is None
+
+
+def _drop_last_h(payload):
+    payload["H"].pop()
+
+
+def _set_p_order(payload):
+    payload["P"]["order"] = 9
+
+
+def _append_empty_p(payload):
+    payload["P"]["coefficients"].append([])
+
+
+def _append_empty_p_with_order(payload):
+    _append_empty_p(payload)
+    payload["P"]["order"] += 1
+
+
+def _set_format_version(payload):
+    payload["format_version"] = 7
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_last_h,
+        _set_p_order,
+        _append_empty_p,
+        _append_empty_p_with_order,
+        _set_format_version,
+        _set_factor(["y", 2, 0, 2]),
+        _set_factor(["c", [4, 1], 0, 2]),
+    ],
+    ids=[
+        "h-count",
+        "p-order",
+        "trailing-empty-coefficient",
+        "trailing-empty-coefficient-with-order",
+        "payload-format-version",
+        "y-factor",
+        "constant-factor",
+    ],
+)
+def test_inconsistent_result_is_a_miss(tmp_path, edit):
     cache = ResultCache(tmp_path)
     cache.put(3, 7, almost_commuting(3, 7))
     _tamper(cache, 3, 7, edit)

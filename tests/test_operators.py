@@ -5,8 +5,10 @@ import random
 import pytest
 
 from diffops._ratio import Rational
+from diffops.basis import generic_L
 from diffops.operators import DiffOperator, commutator, leibniz_product
 from diffops.polynomials import DiffPolynomial, NotHomogeneousError, u, y
+from diffops.pseudo import nth_root
 from helpers import random_homogeneous, random_normal_form, random_operator, random_poly
 
 D = DiffOperator.d
@@ -130,6 +132,29 @@ class TestQueries:
 
     def test_monomials_total(self):
         assert L3().monomials_total() == 3
+
+
+class TestCoefficientMap:
+    def test_maps_ascend_without_zero_coefficients(self):
+        zero = DiffPolynomial.zero()
+        gapped = DiffOperator.from_coeffs([u(2), 0, zero, u(3), 0])
+        built = {
+            "from_dict descending": op({5: u(2), 3: 1, 1: zero, 0: u(3)}),
+            "from_coeffs with gaps": gapped,
+            "product": L3() * op({2: u(2), 0: y(2)}),
+            "sum cancelling the top": (D(2) + op({0: u(2)})) - D(2),
+            "scale(0)": L3().scale(0),
+            "evaluate": op({2: 1, 1: y(2) - u(2), 0: y(3)}).evaluate({2: u(2), 3: u(3)}),
+            "root power": nth_root(generic_L(3), 4).power(4, 1).positive_part(),
+        }
+        for how, operator in built.items():
+            powers = list(operator._coeffs)
+            assert powers == sorted(powers), how
+            assert all(operator._coeffs.values()), how
+        assert built["sum cancelling the top"].order == 0
+        assert built["evaluate"].coefficients() == (u(3), zero, DiffPolynomial.one())
+        assert gapped.coefficients() == (u(2), zero, zero, u(3))
+        assert DiffOperator.zero().coefficients() == ()
 
 
 class TestApply:
