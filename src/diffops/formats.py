@@ -35,6 +35,7 @@ from .polynomials import (
     FAMILY_LETTERS,
     U_FAMILY,
     VarId,
+    _factor_key,
     ratio_text,
     render_sum,
 )
@@ -148,18 +149,21 @@ def poly_from_json(data: list) -> DiffPolynomial:
     a plain int (``true`` and ``2.0`` are not), an exponent < 1, a negative
     order, a u/y index < 2, a c index that is not a pair, a derivative of
     a constant, and a repeated variable in a monomial or monomial in the
-    polynomial.
+    polynomial.  An exponent above ``polynomials.MAX_EXPONENT`` raises
+    ValueError as well.
     """
     return _poly_from_json(data, {})
 
 
 def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
-    """``poly_from_json`` with a factor memo (raw factor -> ``(VarId, exp)``)
-    that the caller may share across polynomials."""
+    """``poly_from_json`` with a factor memo (raw factor -> ``(VarId, key)``,
+    the key of the one-factor monomial) that the caller may share across
+    polynomials; a monomial's key is the sum of its factors' keys."""
     coeffs = {}
     terms = {}
     for term in data:
-        mono = []
+        mono = 0
+        vids = []
         for letter, index, order, exp in term["monomial"]:
             if letter == _C_LETTER:  # checked here: the key holds only the pair's type
                 index = tuple(index)
@@ -173,10 +177,14 @@ def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
                     order if letter == _C_LETTER else type(index) is not int or index < 2
                 ):
                     raise ValueError(f"non-canonical factor: {key[:4]!r}")
-                factor = factors[key] = (VarId(_LETTER_TO_FAMILY[letter], index, order), exp)
-            mono.append(factor)
-        mono = tuple(sorted(mono))
-        if len(dict(mono)) != len(mono):
+                vid = VarId(_LETTER_TO_FAMILY[letter], index, order)
+                try:
+                    factor = factors[key] = (vid, _factor_key(vid, exp))
+                except OverflowError as exc:
+                    raise ValueError(str(exc)) from exc
+            vids.append(factor[0])
+            mono += factor[1]
+        if len(set(vids)) != len(vids):
             raise ValueError(f"repeated variable in monomial: {term['monomial']!r}")
         text = term["coeff"]
         coeff = coeffs.get(text)

@@ -24,11 +24,17 @@ from typing import Iterable
 
 from ._ratio import ONE, ZERO
 from .polynomials import (
+    C_FAMILY,
     DiffPolynomial,
     U_FAMILY,
+    VarId,
+    Y_FAMILY,
     _acc,
     _derive_raw,
-    _mono_mul,
+    _exponent_of,
+    _lower_factor,
+    _mono_leader,
+    _pack,
     homogeneous_monomials,
 )
 
@@ -56,12 +62,8 @@ class Decomposition:
 
 
 def _require_u_only(p: DiffPolynomial) -> None:
-    for mono in p._nums:
-        for vid, _ in mono:
-            if vid[0] != U_FAMILY:
-                raise ValueError(
-                    "integration is defined on polynomials in the u-variables only"
-                )
+    if p.has_family(Y_FAMILY) or p.has_family(C_FAMILY):
+        raise ValueError("integration is defined on polynomials in the u-variables only")
 
 
 def _rank(vid) -> tuple:
@@ -69,40 +71,28 @@ def _rank(vid) -> tuple:
     return (-vid[1], vid[2])
 
 
-def _mono_leader(mono):
-    """Highest-ranked derivative present; None for the constant monomial.
-
-    Monomials are sorted by (family, index, order) ascending, so the
-    leader is the last entry of the lowest-index group.
-    """
-    if not mono:
-        return None
-    lead = mono[0][0]
-    for vid, _ in mono[1:]:
-        if vid[1] != lead[1]:
-            break
-        lead = vid
-    return lead
-
-
-def _exponent_of(mono, vid) -> int:
-    for v, e in mono:
-        if v == vid:
-            return e
-    return 0
-
-
-def _mono_without(mono, drop_vid):
-    return tuple(pair for pair in mono if pair[0] != drop_vid)
+def _reducible_leader(key: int):
+    """The leader v = u_l^{(k)} of a monomial key when k >= 1 and v is
+    linear, so that the rewriting applies; None otherwise."""
+    lead = _mono_leader(key)
+    return lead[0] if lead is not None and lead[0].order and lead[1] == 1 else None
 
 
 def is_reduced_monomial(mono) -> bool:
     """True when the monomial belongs to the canonical obstruction space:
     either its leader carries no derivative, or the leader is nonlinear."""
-    lead = _mono_leader(mono)
-    if lead is None or lead[2] == 0:
-        return True
-    return _exponent_of(mono, lead) != 1
+    return _reducible_leader(_pack(mono)) is None
+
+
+def _file(monos, buckets: dict, filed: set) -> None:
+    """Put each monomial not yet in ``filed`` there, and each reducible one
+    also into the bucket of its leader."""
+    for mono in monos:
+        if mono not in filed:
+            filed.add(mono)
+            lead = _reducible_leader(mono)
+            if lead is not None:
+                buckets.setdefault(lead, []).append(mono)
 
 
 def decompose(f: DiffPolynomial) -> Decomposition:
@@ -110,47 +100,44 @@ def decompose(f: DiffPolynomial) -> Decomposition:
 
     Deterministic under the fixed ranking; exact.  B consists precisely of
     the monomials irreducible under the integration-by-parts rewriting.
+    Each round reduces the highest-ranked bucket, and every monomial it
+    adds ranks lower; each distinct monomial that enters the work is
+    bucketed once, when it first enters.
     """
     _require_u_only(f)
     # work and anti are numerator dicts over the common denominator den
     work = dict(f._nums)
     anti: dict = {}
     den = f._den
-    while True:
-        # the reducible monomials (leader v = u_l^{(k)}, k >= 1, linear),
-        # bucketed by v; the highest-ranked bucket is reduced this round
-        buckets: dict = {}
-        for mono, coeff in work.items():
-            lead = _mono_leader(mono)
-            if lead is None or lead[2] == 0 or _exponent_of(mono, lead) != 1:
-                continue
-            buckets.setdefault(lead, []).append((mono, coeff))
-        if not buckets:
-            break
+    buckets: dict = {}
+    filed: set = set()
+    _file(work, buckets, filed)
+    while buckets:
         v = max(buckets, key=_rank)
-        w_var = (U_FAMILY, v[1], v[2] - 1)
-        # group them by their w-degree
+        w_var = VarId(U_FAMILY, v.index, v.order - 1)
+        # the bucket's monomials still in work, grouped by their w-degree
         groups: dict = {}
-        for mono, coeff in buckets[v]:
-            rest = _mono_without(mono, v)
-            d = _exponent_of(rest, w_var)
-            groups.setdefault(d, {})[_mono_without(rest, w_var)] = coeff
-        # rescale den so that every 1/(d+1) * cofactor is an integer
-        scale = lcm(*((d + 1) // gcd(d + 1, *cof.values()) for d, cof in groups.items()))
+        for mono in buckets.pop(v):
+            coeff = work.get(mono)
+            if coeff is not None:
+                groups.setdefault(_exponent_of(mono, w_var), {})[mono] = coeff
+        # rescale den so that every 1/(d+1) * coefficient is an integer
+        scale = lcm(*((d + 1) // gcd(d + 1, *monos.values()) for d, monos in groups.items()))
         if scale != 1:
             work = {mono: coeff * scale for mono, coeff in work.items()}
             anti = {mono: coeff * scale for mono, coeff in anti.items()}
             den *= scale
-        for d, cofactors in groups.items():
-            w_power = ((w_var, d + 1),)
+        for d, monos in groups.items():
+            # v w^d W = d(w^(d+1) W / (d+1)) - w^(d+1) W' / (d+1)
             increment = {
-                _mono_mul(w_power, mono): coeff * scale // (d + 1)
-                for mono, coeff in cofactors.items()
+                _lower_factor(mono, v): coeff * scale // (d + 1) for mono, coeff in monos.items()
             }
             for mono, coeff in increment.items():
                 _acc(anti, mono, coeff)
-            for mono, coeff in _derive_raw(increment).items():
+            derived = _derive_raw(increment)
+            for mono, coeff in derived.items():
                 _acc(work, mono, -coeff)
+            _file(derived, buckets, filed)
     return Decomposition(DiffPolynomial.from_nums(anti, den), DiffPolynomial.from_nums(work, den))
 
 
@@ -184,7 +171,7 @@ def antiderivative_by_ansatz(
     if indices is None:
         indices = f.u_indices()
     candidates = [m for m in homogeneous_monomials(w - 1, indices) if m]
-    derived = [_derive_raw({m: ONE}) for m in candidates]
+    derived = [dict(DiffPolynomial({m: ONE}).derive().items()) for m in candidates]
     row_index: dict = {}
     for terms in derived:
         for mono in terms:

@@ -9,8 +9,9 @@ i < 0 and C(i,s) is the generalized binomial.
 
 An operator is a sparse ``{power: nonzero coefficient}`` map in ascending
 power order.  The order is not cosmetic: ``leibniz_product`` walks both
-maps in order, which decides which of two equal monomial tuples a product
-keeps, and so how much memory a long computation holds.
+maps in order, which fixes the order in which every product's monomials
+are first met, and with it how much memory a long computation holds at
+its peak.
 """
 
 from __future__ import annotations

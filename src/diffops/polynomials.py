@@ -6,18 +6,40 @@ constants c_{m,j} that the derivation kills.  A single derivation acts by
 bumping derivative orders and the Leibniz rule.
 
 Variables carry the grading w(u_l^{(k)}) = w(y_l^{(k)}) = l + k; constants
-are weight-transparent.  Monomials are kept canonical: sorted by variable
-id, no zero exponents.
+are weight-transparent.
 
 A polynomial is stored as integer numerators over one denominator,
-``{mono: num}`` and ``den``, meaning sum (num/den) * mono.  The form is
-normal: ``den >= 1``, ``gcd(den, *nums) == 1``, no numerator is zero, and
-the zero polynomial has ``den == 1``.  So two polynomials are equal
-exactly when their numerator dicts and denominators are, and every hot
-loop (products, derivation, substitution) runs on Python ints.  Rationals
-(``fractions.Fraction``) appear only at the boundary: ``items()``,
-``coefficient()``, ``from_dict``, the rational constructor and scalar
-arguments.
+``{key: num}`` and ``den``, meaning sum (num/den) * monomial(key).  The
+form is normal: ``den >= 1``, ``gcd(den, *nums) == 1``, no numerator is
+zero, and the zero polynomial has ``den == 1``.  So two polynomials are
+equal exactly when their numerator dicts and denominators are, and every
+hot loop (products, derivation, substitution) runs on Python ints.
+Rationals (``fractions.Fraction``) appear only at the boundary:
+``items()``, ``coefficient()``, ``from_dict``, the rational constructor
+and scalar arguments.
+
+Monomial keys.  A key is a monomial's packed exponent vector, one int.  A
+process-wide slot table gives each variable, the first time any monomial
+uses it, a fixed 8-bit field: the monomial prod v^(e_v) has the key
+sum e_v << (8 * slot(v)), and the monomial 1 has the key 0.  So a
+monomial product is one int addition, and replacing one factor v by its
+derivative v' adds the per-slot step (1 << 8*slot(v')) - (1 << 8*slot(v)),
+computed once.  An exponent is at most ``MAX_EXPONENT`` = 127: the top
+bit of every field is a guard, so adding two keys never carries into the
+next field, and a product, derivative or construction that would make an
+exponent larger raises OverflowError instead of wrapping.
+
+Slots come in blocks of 256.  The u- and c-variables fill block 0 and the
+y-variables, which live only while a bracket system is solved, take
+blocks of their own, so the keys of the long-lived u-monomials stay short
+(an int's size is that of its highest field).  The table only grows, by
+one slot per distinct variable; it is the one state of this module that
+outlives a call.  Only this module builds or takes keys apart: ``items()``,
+``coefficient()``, ``sorted_num_den()``, ``from_dict``, the constructors
+and pickles speak the canonical form of a monomial, a tuple of
+``(VarId, exp)`` pairs sorted by VarId, with no zero exponent (``()`` is
+the monomial 1).  So slot numbers never reach an output, and no result
+depends on the order in which variables were first met.
 
 A polynomial may also carry ``_derivs``, its derivative chain
 ``[nums, nums', nums'', ...]`` as numerator dicts.  It is None until
@@ -33,7 +55,11 @@ each one after the last polynomial that uses it.
 
 from __future__ import annotations
 
+import threading
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm, prod
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._ratio import Rational
@@ -97,35 +123,9 @@ def c_id(m: int, j: int) -> VarId:
     return VarId(C_FAMILY, (m, j), 0)
 
 
-# A monomial is a tuple of (VarId, exponent) pairs, sorted by VarId,
-# exponents > 0.  The empty tuple is the constant monomial 1.
+# The canonical form of a monomial: a tuple of (VarId, exponent) pairs,
+# sorted by VarId, exponents > 0.  The empty tuple is the monomial 1.
 Mono = tuple
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
 
 
 def _mono_weight(mono: Mono) -> int:
@@ -136,16 +136,166 @@ def _mono_weight(mono: Mono) -> int:
     return w
 
 
-def _mono_degree(mono: Mono) -> int:
-    return sum(exp for _, exp in mono)
-
-
 def mono_sort_key(mono: Mono):
     """Graded by weight (descending), ties broken lexicographically."""
     return (-_mono_weight(mono), mono)
 
 
-def _acc(out: dict, mono: Mono, coeff) -> None:
+# -- packed monomial keys (see the module docstring) --------------------------
+
+_W = 8  # bits per exponent field
+MAX_EXPONENT = (1 << (_W - 1)) - 1
+_FIELD = (1 << _W) - 1
+# Slots come in blocks of _BLOCK, each holding the variables of one group:
+# the u- and c-variables (block 0 first), or the y-variables
+_BLOCK = 256
+
+_SLOTS: dict = {}  # VarId -> slot
+_VARS: list = [None] * _BLOCK  # slot -> VarId (None for a free slot)
+_WEIGHTS: list = [None] * _BLOCK  # slot -> weight of its variable
+_RANKS: list = [None] * _BLOCK  # slot -> rank under the elimination ranking (``_mono_leader``)
+# slot -> key step of replacing the variable by its derivative: 0 for a
+# constant, None until the first derivation that needs it
+_STEPS: list = [None] * _BLOCK
+_NEXT = [0, 0]  # group (1 for y) -> next free slot of its current block
+_END = [_BLOCK, 0]  # group -> end of its current block
+_GUARD = 0  # the top bit of every allocated field
+_HALF = 0  # the 64 bit of every allocated field: two exponents below it add below the guard
+_FAMILY_FIELDS = [0, 0, 0]  # family -> every bit of its variables' fields
+_SLOT_LOCK = threading.Lock()
+
+
+def _slot(vid) -> int:
+    """The slot of a variable, allocated on first use."""
+    slot = _SLOTS.get(vid)
+    return _new_slot(VarId(*vid)) if slot is None else slot
+
+
+def _new_slot(vid: VarId) -> int:
+    global _GUARD, _HALF
+    with _SLOT_LOCK:
+        slot = _SLOTS.get(vid)
+        if slot is None:
+            group = int(vid.family == Y_FAMILY)
+            if _NEXT[group] == _END[group]:
+                _NEXT[group] = len(_VARS)
+                _END[group] = len(_VARS) + _BLOCK
+                for table in (_VARS, _WEIGHTS, _RANKS, _STEPS):
+                    table.extend([None] * _BLOCK)
+            slot = _NEXT[group]
+            _NEXT[group] += 1
+            shift = _W * slot
+            _VARS[slot] = vid
+            _WEIGHTS[slot] = vid.weight()
+            if vid.family == C_FAMILY:
+                _RANKS[slot] = (-C_FAMILY, 0, 0)
+                _STEPS[slot] = 0
+            else:
+                _RANKS[slot] = (-vid.family, -vid.index, vid.order)
+            _GUARD |= 1 << (shift + _W - 1)
+            _HALF |= 1 << (shift + _W - 2)
+            _FAMILY_FIELDS[vid.family] |= _FIELD << shift
+            _SLOTS[vid] = slot  # published last: a slot is complete once found
+    return slot
+
+
+def _derivative_step(slot: int) -> int:
+    """``_STEPS[slot]`` of a u- or y-variable, set on first use."""
+    family, index, order = _VARS[slot]
+    step = (1 << _W * _slot(VarId(family, index, order + 1))) - (1 << _W * slot)
+    _STEPS[slot] = step
+    return step
+
+
+def _check_exponents(keys) -> None:
+    """Raise OverflowError when a key has an exponent above MAX_EXPONENT.
+
+    Valid only for sums of two valid keys, or a valid key plus a step:
+    those stay below 256 per field, so their guard bit shows the overflow.
+    """
+    if reduce(or_, keys, 0) & _GUARD:
+        raise OverflowError(f"a monomial exponent exceeds {MAX_EXPONENT}")
+
+
+def _below_half(keys) -> bool:
+    """True when every exponent of ``keys`` is below 64, so that no sum of
+    two such keys and no derivative of one can overflow."""
+    return not reduce(or_, keys, 0) & _HALF
+
+
+def _factor_key(vid, exp: int) -> int:
+    """The key of the monomial vid^exp (exp >= 0)."""
+    if exp < 0:
+        raise ValueError(f"negative exponent {exp}")
+    if exp > MAX_EXPONENT:
+        raise OverflowError(f"exponent {exp} exceeds {MAX_EXPONENT}")
+    return exp << _W * _slot(vid)
+
+
+def _pack(mono) -> int:
+    """The key of a monomial given as (VarId, exp) pairs in any order; the
+    exponents of a repeated variable add up."""
+    key = 0
+    for vid, exp in mono:
+        key += _factor_key(vid, exp)
+        _check_exponents((key,))
+    return key
+
+
+def _unpack(key: int) -> list:
+    """[(slot, exp)] of the factors of a key, in slot order."""
+    out = []
+    slot = 0
+    while key:
+        skip = ((key & -key).bit_length() - 1) // _W
+        key >>= skip * _W
+        slot += skip
+        out.append((slot, key & _FIELD))
+        key >>= _W
+        slot += 1
+    return out
+
+
+def _mono(key: int) -> Mono:
+    """The canonical tuple of a key."""
+    return tuple(sorted([(_VARS[slot], exp) for slot, exp in _unpack(key)]))
+
+
+def _key_weight(key: int) -> int:
+    return sum(_WEIGHTS[slot] * exp for slot, exp in _unpack(key))
+
+
+def _mono_leader(key: int):
+    """(v, exp) for the highest-ranked factor v^exp of a key; None for the
+    monomial 1.
+
+    The ranking is the elimination ranking of ``integration``: u before y
+    before c, then the lower index, then the higher derivative order.
+    """
+    best = None
+    for slot, exp in _unpack(key):
+        if best is None or _RANKS[slot] > _RANKS[best[0]]:
+            best = slot, exp
+    return None if best is None else (_VARS[best[0]], best[1])
+
+
+def _exponent_of(key: int, vid) -> int:
+    slot = _SLOTS.get(vid)
+    return 0 if slot is None else key >> _W * slot & _FIELD
+
+
+def _lower_factor(key: int, vid) -> int:
+    """The key with one factor vid = v^{(k)}, k >= 1, replaced by v^{(k-1)}."""
+    lower = _slot(VarId(vid[0], vid[1], vid[2] - 1))
+    step = _STEPS[lower]
+    if step is None:
+        step = _derivative_step(lower)
+    key -= step
+    _check_exponents((key,))
+    return key
+
+
+def _acc(out: dict, mono: int, coeff) -> None:
     prev = out.get(mono)
     if prev is None:
         out[mono] = coeff
@@ -159,48 +309,65 @@ def _acc(out: dict, mono: Mono, coeff) -> None:
 
 def _mul_raw(a: dict, b: dict) -> dict:
     out: dict = {}
-    get = out.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = _mono_mul(ma, mb)
-            c = ca * cb
-            prev = get(m)
-            if prev is None:
-                out[m] = c
-            else:
-                out[m] = prev + c
-    return {m: c for m, c in out.items() if c}
+    _mul_into(out, a, b, 1)
+    return out
 
 
 def _mul_into(dst: dict, a: dict, b: dict, scale: int) -> None:
-    """dst += scale * a * b on numerator dicts."""
+    """dst += scale * a * b on numerator dicts; OverflowError when an
+    exponent of dst would exceed MAX_EXPONENT."""
+    get = dst.get
     for ma, ca in a.items():
         cs = ca * scale
         for mb, cb in b.items():
-            _acc(dst, _mono_mul(ma, mb), cs * cb)
+            m = ma + mb
+            prev = get(m)
+            if prev is None:
+                dst[m] = cs * cb
+            else:
+                s = prev + cs * cb
+                if s:
+                    dst[m] = s
+                else:
+                    del dst[m]
+    if not (_below_half(a) and _below_half(b)):
+        _check_exponents(dst)
 
 
 def _derive_raw(terms: dict) -> dict:
-    """The derivative of a numerator dict (the denominator is unchanged)."""
+    """The derivative of a numerator dict (the denominator is unchanged):
+    each factor v^e of a monomial M adds e * M v'/v, one step per factor."""
     out: dict = {}
+    get = out.get
+    steps = _STEPS
+    width = _W
+    field = _FIELD
     for mono, coeff in terms.items():
-        for i in range(len(mono)):
-            vid, exp = mono[i]
-            if vid[0] == C_FAMILY:
-                continue
-            up = (vid[0], vid[1], vid[2] + 1)
-            # replace one factor vid by its derivative; keep sorted order
-            head = list(mono[:i])
-            if exp > 1:
-                head.append((vid, exp - 1))
-            tail = mono[i + 1 :]
-            if tail and tail[0][0] == up:
-                head.append((up, tail[0][1] + 1))
-                head.extend(tail[1:])
-            else:
-                head.append((up, 1))
-                head.extend(tail)
-            _acc(out, tuple(head), coeff * exp if exp != 1 else coeff)
+        rest = mono
+        slot = 0
+        while rest:
+            skip = ((rest & -rest).bit_length() - 1) // width
+            rest >>= skip * width
+            slot += skip
+            step = steps[slot]
+            if step is None:
+                step = _derivative_step(slot)
+            if step:
+                m = mono + step
+                c = coeff * (rest & field)
+                prev = get(m)
+                if prev is None:
+                    out[m] = c
+                else:
+                    s = prev + c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+            rest >>= width
+            slot += 1
+    if not _below_half(terms):
+        _check_exponents(out)
     return out
 
 
@@ -226,11 +393,15 @@ class DiffPolynomial:
     __slots__ = ("_nums", "_den", "_derivs")
 
     def __init__(self, terms: Mapping | None = None):
-        """sum c * mono over ``terms``, which maps canonical monomials to
-        ints or Fractions; zero coefficients are dropped."""
+        """sum c * mono over ``terms``, which maps monomials, as (VarId,
+        exp) pairs in any order, to ints or Fractions; zero coefficients are
+        dropped and monomials that are equal add up."""
         terms = terms or {}
         den = lcm(*(c.denominator for c in terms.values()))
-        nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
+        nums: dict = {}
+        for mono, c in terms.items():
+            if c:
+                _acc(nums, _pack(mono), c.numerator * (den // c.denominator))
         self._nums, self._den = _normal_form(nums, den)
         self._derivs = None
 
@@ -240,7 +411,7 @@ class DiffPolynomial:
     def from_nums(cls, nums: dict, den: int) -> "DiffPolynomial":
         """nums/den, brought to normal form.
 
-        ``nums`` maps canonical monomials to nonzero ints and is taken
+        ``nums`` maps monomial keys to nonzero ints and is taken
         over, not copied; ``den`` is a positive int.
         """
         p = cls.__new__(cls)
@@ -254,42 +425,69 @@ class DiffPolynomial:
 
     @classmethod
     def one(cls) -> "DiffPolynomial":
-        return cls.from_nums({(): 1}, 1)
+        return cls.from_nums({0: 1}, 1)
 
     @classmethod
     def constant(cls, value) -> "DiffPolynomial":
         num, den = _ratio_of(value)
-        return cls.from_nums({(): num} if num else {}, den)
+        return cls.from_nums({0: num} if num else {}, den)
 
     @classmethod
     def variable(cls, vid: VarId) -> "DiffPolynomial":
-        return cls.from_nums({((vid, 1),): 1}, 1)
+        return cls.from_nums({_factor_key(vid, 1): 1}, 1)
 
     @classmethod
     def from_dict(cls, terms: Mapping) -> "DiffPolynomial":
         """Monomials in any order, coefficients as anything ``Rational``
         accepts; repeated monomials add up."""
-        out: dict = {}
-        for mono, coeff in terms.items():
-            c = Rational(coeff)
-            if c:
-                _acc(out, tuple(sorted(mono)), c)
-        return cls(out)
+        return cls({mono: Rational(coeff) for mono, coeff in terms.items()})
 
     # -- queries ------------------------------------------------------
 
     def items(self) -> Iterator:
+        """(canonical monomial, Fraction) pairs."""
         den = self._den
-        return ((m, Rational(c, den)) for m, c in self._nums.items())
+        return ((_mono(m), Rational(c, den)) for m, c in self._nums.items())
 
     def sorted_num_den(self) -> list:
-        """[(mono, num, den)] in canonical order, each num/den in lowest terms."""
+        """[(mono, num, den)] in canonical order (``mono_sort_key``), each
+        num/den in lowest terms."""
+        nums = self._nums
+        # A factor v^e sorts by its code rank(v) << _W | e, which orders as
+        # the pair (v, e) does; rank(v) is v's place among the variables
+        # of this polynomial in canonical order.
+        used = sorted((_VARS[slot], slot) for slot, _ in _unpack(reduce(or_, nums, 0)))
+        base = [0] * len(_VARS)  # slot -> rank << _W
+        for i, (_, slot) in enumerate(used):
+            base[slot] = i << _W
+        weights, width, field = _WEIGHTS, _W, _FIELD
+        rows = []
+        for key, num in nums.items():
+            # _unpack, inlined: this decodes every monomial of every output
+            codes = []
+            weight = 0
+            slot = 0
+            while key:
+                skip = ((key & -key).bit_length() - 1) // width
+                key >>= skip * width
+                slot += skip
+                exp = key & field
+                codes.append(base[slot] | exp)
+                weight += weights[slot] * exp
+                key >>= width
+                slot += 1
+            codes.sort()
+            rows.append((-weight, codes, num))
+        rows.sort()  # (-weight, codes) is unique, so no num is compared
+        pairs = {  # code -> its (VarId, exp), one pair shared by all monomials
+            code: (used[code >> width][0], code & field)
+            for code in set(chain.from_iterable(row[1] for row in rows))
+        }
         den = self._den
-        out = []
-        for mono, num in sorted(self._nums.items(), key=lambda t: mono_sort_key(t[0])):
+        for i, (_, codes, num) in enumerate(rows):
             g = gcd(num, den)
-            out.append((mono, num // g, den // g))
-        return out
+            rows[i] = (tuple(map(pairs.__getitem__, codes)), num // g, den // g)
+        return rows
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -301,32 +499,22 @@ class DiffPolynomial:
         return len(self._nums)
 
     def coefficient(self, mono: Mono):
-        return Rational(self._nums.get(tuple(sorted(mono)), 0), self._den)
+        return Rational(self._nums.get(_pack(mono), 0), self._den)
 
     def total_degree(self) -> int:
         if not self._nums:
             return 0
-        return max(_mono_degree(m) for m in self._nums)
+        return max(sum(exp for _, exp in _unpack(m)) for m in self._nums)
 
     def variables(self) -> set:
-        out = set()
-        for mono in self._nums:
-            for vid, _ in mono:
-                out.add(VarId(*vid))
-        return out
+        # a field of the OR of all keys is nonzero when one key's is
+        return {_VARS[slot] for slot, _ in _unpack(reduce(or_, self._nums, 0))}
 
     def u_indices(self) -> set:
-        return {
-            vid[1]
-            for mono in self._nums
-            for vid, _ in mono
-            if vid[0] == U_FAMILY
-        }
+        return {vid.index for vid in self.variables() if vid.family == U_FAMILY}
 
     def has_family(self, family: int) -> bool:
-        return any(
-            vid[0] == family for mono in self._nums for vid, _ in mono
-        )
+        return bool(reduce(or_, self._nums, 0) & _FAMILY_FIELDS[family])
 
     def weight(self) -> int | None:
         """Common weight of all monomials; None for the zero polynomial.
@@ -337,9 +525,9 @@ class DiffPolynomial:
         if not self._nums:
             return None
         it = iter(self._nums)
-        w = _mono_weight(next(it))
-        for mono in it:
-            if _mono_weight(mono) != w:
+        w = _key_weight(next(it))
+        for key in it:
+            if _key_weight(key) != w:
                 raise NotHomogeneousError(f"mixed weights in {self!r}")
         return w
 
@@ -437,6 +625,11 @@ class DiffPolynomial:
         """
         return substitute((self,), assignments)[0]
 
+    def __reduce__(self):
+        # a key means something only with this process's slot table, so a
+        # pickle holds the canonical monomials
+        return _unpickle, ([(_mono(key), num) for key, num in self._nums.items()], self._den)
+
     # -- rendering ------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -444,6 +637,10 @@ class DiffPolynomial:
 
     def __str__(self) -> str:
         return render_text(self)
+
+
+def _unpickle(terms: list, den: int) -> DiffPolynomial:
+    return DiffPolynomial.from_nums({_pack(mono): num for mono, num in terms}, den)
 
 
 def binary_power(base, exponent: int, one):
@@ -479,43 +676,55 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> list:
     y_l that a later polynomial uses, and drops l when none does; it
     lives for this call only.
     """
-    # keep[i]: l -> highest order of y_l in the polynomials after polys[i]
+    y_fields = _FAMILY_FIELDS[Y_FAMILY]
+    # splits[i]: (key without y-factors, coeff, [VarId per y-factor]) for
+    # each monomial of polys[i]; keep[i]: l -> highest order of y_l in the
+    # polynomials after polys[i]
+    splits: list = []
     keep: list = []
     later: dict = {}
     for poly in reversed(polys):
         keep.append(dict(later))
-        for mono in poly._nums:
-            for vid, _ in mono:
-                if vid[0] == Y_FAMILY and later.get(vid[1], -1) < vid[2]:
-                    later[vid[1]] = vid[2]
+        split = []
+        for key, coeff in poly._nums.items():
+            ys = key & y_fields
+            factors = []
+            for slot, exp in _unpack(ys):
+                vid = _VARS[slot]
+                if later.get(vid.index, -1) < vid.order:
+                    later[vid.index] = vid.order
+                factors += [vid] * exp
+            split.append((key - ys, coeff, factors))
+        splits.append(split)
+    splits.reverse()
     keep.reverse()
     table: dict = {}  # l -> [q_l, q_l', q_l'', ...] as numerator dicts
 
     def replacement(vid) -> tuple:
-        derivs = table.get(vid[1])
+        derivs = table.get(vid.index)
         if derivs is None:
-            if vid[1] not in assignments:
-                raise IncompleteSolutionError(vid[1])
-            derivs = table[vid[1]] = [assignments[vid[1]]._nums]
-        while len(derivs) <= vid[2]:
+            if vid.index not in assignments:
+                raise IncompleteSolutionError(vid.index)
+            derivs = table[vid.index] = [assignments[vid.index]._nums]
+        while len(derivs) <= vid.order:
             derivs.append(_derive_raw(derivs[-1]))
-        return derivs[vid[2]], assignments[vid[1]]._den
+        return derivs[vid.order], assignments[vid.index]._den
 
     results = []
     for i, poly in enumerate(polys):
         # each monomial's factors, and the product of their denominators
         rows = []
-        for mono, coeff in poly._nums.items():
-            factors = [replacement(v) for v, e in mono if v[0] == Y_FAMILY for _ in range(e)]
-            rows.append((mono, coeff, factors, prod(den for _, den in factors)))
+        for head, coeff, ys in splits[i]:
+            factors = [replacement(vid) for vid in ys]
+            rows.append((head, coeff, factors, prod(den for _, den in factors)))
         common = lcm(*(row[3] for row in rows))
         out: dict = {}
-        for mono, coeff, factors, den in rows:
-            head = {tuple(f for f in mono if f[0][0] != Y_FAMILY): coeff * (common // den)}
+        for head, coeff, factors, den in rows:
+            nums = {head: coeff * (common // den)}
             for q, _ in factors[:-1]:
-                head = _mul_raw(head, q)
+                nums = _mul_raw(nums, q)
             # the last factor goes straight into ``out``
-            _mul_into(out, head, factors[-1][0] if factors else {(): 1}, 1)
+            _mul_into(out, nums, factors[-1][0] if factors else {0: 1}, 1)
         results.append(DiffPolynomial.from_nums(out, poly._den * common))
         for l in list(table):
             if l in keep[i]:

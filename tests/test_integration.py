@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from diffops import integration
 from diffops._ratio import Rational
+from diffops.basis import bracket_system, solve_triangular
 from diffops.integration import (
     NotTotalDerivativeError,
     antiderivative,
@@ -12,7 +14,7 @@ from diffops.integration import (
     decompose,
     is_reduced_monomial,
 )
-from diffops.polynomials import DiffPolynomial, u, y
+from diffops.polynomials import MAX_EXPONENT, DiffPolynomial, u, u_id, y
 from helpers import random_homogeneous, random_poly
 
 HALF = Rational(1, 2)
@@ -71,6 +73,46 @@ class TestDecompose:
         second = decompose(f)
         assert first.antiderivative == second.antiderivative
         assert first.obstruction == second.obstruction
+
+
+    def test_each_monomial_is_bucketed_once(self, monkeypatch):
+        # a round re-buckets only the monomials it adds: one leader per
+        # distinct monomial that ever enters the work, over all rounds
+        steps = []
+        solve_triangular(bracket_system(3, 14), lambda index, rest, q: steps.append(rest))
+        f = steps[-1]  # the integrand of the last solve step
+        entered = set(f._nums)
+        leaders = []
+        derived = []
+        original_leader, original_derive = integration._mono_leader, integration._derive_raw
+
+        def leader(mono):
+            leaders.append(mono)
+            return original_leader(mono)
+
+        def derive(terms):
+            derived.append(original_derive(terms))
+            entered.update(derived[-1])
+            return derived[-1]
+
+        monkeypatch.setattr(integration, "_mono_leader", leader)
+        monkeypatch.setattr(integration, "_derive_raw", derive)
+        dec = decompose(f)
+        assert dec.obstruction.is_zero()
+        assert dec.antiderivative.derive() == f
+        assert len(derived) > 5  # many rounds ran
+        assert len(leaders) <= len(entered)
+
+    @pytest.mark.parametrize("exp", [MAX_EXPONENT, 255])
+    def test_leader_exponent_overflow(self, exp):
+        # u_2' u_2^e = d(u_2^(e+1) / (e+1)): the antiderivative's exponent
+        # passes the field, so it is either exact or OverflowError
+        try:
+            dec = decompose(u(2, 1) * u(2) ** exp)
+        except OverflowError:
+            return
+        assert dict(dec.antiderivative.items()) == {((u_id(2), exp + 1),): Rational(1, exp + 1)}
+        assert dec.obstruction.is_zero()
 
 
 class TestAntiderivative:

@@ -1,16 +1,25 @@
 """Differential polynomial ring: arithmetic, derivation, grading, evaluation."""
 
 import itertools
+import json
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from diffops._ratio import Rational
+from diffops.formats import poly_from_json
 from diffops.operators import DiffOperator
 from diffops.polynomials import (
     C_FAMILY,
+    MAX_EXPONENT,
     Y_FAMILY,
     DiffPolynomial,
     IncompleteSolutionError,
@@ -369,3 +378,167 @@ class TestIntegerKernel:
         assert (Rational(1, 2) * u(2) ** 2).derive() == u(2) * u(2, 1)
         assert DiffPolynomial.constant(Fraction(-10, 4)) == Fraction(-5, 2)
         assert DiffPolynomial({mono: Fraction(2, 4)}).coefficient(mono) == HALF
+
+
+# -- exponent fields and the slot table ----------------------------------------
+
+
+def c_mono(j, exp):
+    return ((VarId(C_FAMILY, (3, j), 0), exp),)
+
+
+def u_mono(*factors):
+    return tuple(sorted((u_id(l, k), exp) for l, k, exp in factors))
+
+
+class TestExponentField:
+    """A monomial key holds each exponent in a fixed-width field.  An
+    exponent above the field either gives the reference result or raises
+    OverflowError; it never wraps into a neighbouring field.  Each case
+    also goes past 255, where an unguarded field would carry."""
+
+    @staticmethod
+    def reference_or_raise(compute, reference):
+        try:
+            got = compute()
+        except OverflowError:
+            return
+        assert dict(got.items()) == reference
+
+    def test_power_products(self):
+        self.reference_or_raise(
+            lambda: u(2) ** 200 * u(2) ** 100,
+            ref_mul({u_mono((2, 0, 200)): 1}, {u_mono((2, 0, 100)): 1}),
+        )
+        self.reference_or_raise(
+            lambda: u(2) ** 120 * u(2) ** 8, {u_mono((2, 0, 128)): 1}
+        )
+
+    def test_derivatives(self):
+        self.reference_or_raise(lambda: (u(2) ** 255).derive(), ref_derive({u_mono((2, 0, 255)): 1}))
+        # the derivative pushes the exponent of u_2' past the field
+        for exp in (MAX_EXPONENT, 255):
+            self.reference_or_raise(
+                lambda: (u(2, 1) ** exp * u(2)).derive(),
+                ref_derive({u_mono((2, 1, exp), (2, 0, 1)): 1}),
+            )
+
+    def test_constants(self):
+        # c_{3,1} and c_{3,2} hold neighbouring fields: a carry out of the
+        # first would show as a higher power of the second
+        c1, c2 = c(3, 1), c(3, 2)
+        self.reference_or_raise(
+            lambda: c1 ** 150 * c1 ** 150, ref_mul({c_mono(1, 150): 1}, {c_mono(1, 150): 1})
+        )
+        self.reference_or_raise(
+            lambda: (c1 ** 127 * c2) * (c1 ** 127 * c2),
+            ref_mul({c_mono(1, 127) + c_mono(2, 1): 1}, {c_mono(1, 127) + c_mono(2, 1): 1}),
+        )
+
+    def test_substitution_and_operator_products(self):
+        self.reference_or_raise(
+            lambda: (y(2) ** 3).evaluate({2: u(2) ** 100}), {u_mono((2, 0, 300)): 1}
+        )
+        big = DiffOperator.from_coeffs([u(2) ** 100])
+        self.reference_or_raise(
+            lambda: (big * big * big).coefficient_at(0), {u_mono((2, 0, 300)): 1}
+        )
+
+    def test_construction(self):
+        self.reference_or_raise(
+            lambda: DiffPolynomial({u_mono((2, 0, 300)): Fraction(1)}), {u_mono((2, 0, 300)): 1}
+        )
+        self.reference_or_raise(
+            lambda: DiffPolynomial.from_dict({((u_id(2), 100), (u_id(2), 100)): 1}),
+            {u_mono((2, 0, 200)): 1},
+        )
+        # a cache entry holding such an exponent is refused, not wrapped
+        with pytest.raises(ValueError):
+            poly_from_json([{"coeff": "1", "monomial": [["u", 2, 0, 300]]}])
+
+    def test_largest_exponent_is_exact(self):
+        top = u(2) ** MAX_EXPONENT
+        assert dict(top.items()) == {u_mono((2, 0, MAX_EXPONENT)): 1}
+        assert dict(top.derive().items()) == ref_derive({u_mono((2, 0, MAX_EXPONENT)): 1})
+        assert dict((c(3, 1) ** MAX_EXPONENT * c(3, 2)).items()) == {
+            c_mono(1, MAX_EXPONENT) + c_mono(2, 1): 1
+        }
+
+
+PINNED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)
+
+SLOTS_REVERSED = textwrap.dedent(
+    """
+    import hashlib, json, sys, tempfile
+    from pathlib import Path
+    from diffops import almost_commuting, cli
+    from diffops.formats import canonical_json_bytes, result_to_json
+    from diffops.polynomials import c, u, y
+
+    # give every variable its slot in reverse canonical order first:
+    # constants, then y_20^(10) down to y_2, then u_7^(25) down to u_2
+    for m in range(12, 0, -1):
+        for j in range(m, 0, -1):
+            c(m, j)
+    for l in range(20, 1, -1):
+        for k in range(10, -1, -1):
+            y(l, k)
+    for l in range(7, 1, -1):
+        for k in range(25, -1, -1):
+            u(l, k)
+    digests = {}
+    for n, m in ((3, 8), (7, 9)):
+        data = canonical_json_bytes(result_to_json(almost_commuting(n, m)))
+        digests[f"{n},{m}"] = hashlib.sha256(data).hexdigest()
+    out = Path(tempfile.mkdtemp())
+    argv = ["hierarchy", "--n", "5", "--m", "9", "--with-constants", "--out", str(out), "--quiet"]
+    for fmt in ("json", "latex", "text"):
+        cli.main(argv + ["--format", fmt])
+    for path in out.iterdir():
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(json.dumps(digests))
+    """
+)
+
+
+def test_output_is_independent_of_slot_order(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), DIFFOPS_CACHE_DIR=str(tmp_path))
+    run = subprocess.run(
+        [sys.executable, "-c", SLOTS_REVERSED], env=env, capture_output=True, text=True, check=True
+    )
+    digests = json.loads(run.stdout)
+    for key in ("3,8", "7,9"):
+        assert digests.pop(key) == PINNED["results"][key]["sha256"], key
+    # the level-9 flows of n = 5 are built from almost_commuting(5, 1..9)
+    assert len(digests) == 12
+    for name, digest in digests.items():
+        assert digest == PINNED["cli_files"][name], name
+
+
+def test_pickle_carries_canonical_monomials():
+    # a fresh process numbers its slots in another order
+    p = Rational(3, 4) * u(2, 5) * u(3) ** 2 - c(4, 1) * u(4, 1) + 7
+    script = textwrap.dedent(
+        """
+        import pickle, sys
+        from diffops.polynomials import c, u
+        for l in range(9, 1, -1):
+            u(l, 9)
+        c(4, 2)
+        print(pickle.loads(bytes.fromhex(sys.stdin.read())))
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(p).hex(),
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == str(p)
+    assert pickle.loads(pickle.dumps(p)) == p
