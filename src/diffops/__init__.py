@@ -25,8 +25,8 @@ from .integration import (
     Decomposition,
     NotTotalDerivativeError,
     antiderivative,
-    antiderivative_by_ansatz,
     decompose,
+    euler,
 )
 from .operators import DiffOperator, commutator
 from .polynomials import (
@@ -65,11 +65,11 @@ __all__ = [
     "almost_commuting",
     "almost_commuting_basis",
     "antiderivative",
-    "antiderivative_by_ansatz",
     "bracket_system",
     "c",
     "commutator",
     "decompose",
+    "euler",
     "gd_equations",
     "generic_L",
     "generic_P",

@@ -222,17 +222,22 @@ def result_to_json(result: AlmostCommutingResult) -> dict:
     }
 
 
+# the top coefficient of a monic P, as ``poly_to_json`` writes it
+_MONIC_TOP = [{"coeff": "1", "monomial": []}]
+
+
 def result_from_json(data: dict) -> AlmostCommutingResult:
     """The result of a ``result_to_json`` payload.  Besides what
     ``poly_from_json`` refuses, ValueError for another format version, a
-    ``P`` order other than its coefficient count - 1, a zero top ``P``
-    coefficient, an ``H`` count other than n - 1 and a factor other than u
-    (checked once per distinct factor: all polynomials share one memo)."""
+    ``P`` order other than m or than its coefficient count - 1, a top ``P``
+    coefficient other than 1, an ``H`` count other than n - 1 and a factor
+    other than u (checked once per distinct factor: all polynomials share
+    one memo)."""
     n, P, H = data["n"], data["P"], data["H"]
     coeffs = P["coefficients"]
     if data["format_version"] != FORMAT_VERSION or len(H) != n - 1:
         raise ValueError("inconsistent result payload")
-    if P["order"] != len(coeffs) - 1 or not coeffs or not coeffs[-1]:
+    if P["order"] != data["m"] or P["order"] != len(coeffs) - 1 or coeffs[-1:] != [_MONIC_TOP]:
         raise ValueError("non-canonical P")
     factors: dict = {}
     polys = [_poly_from_json(p, factors) for p in coeffs + H]

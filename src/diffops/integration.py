@@ -1,4 +1,5 @@
-"""Closed-form antiderivatives of differential polynomials.
+"""Closed-form antiderivatives of differential polynomials, and the Euler
+operator that witnesses total derivatives independently of them.
 
 A differential polynomial F in the u-variables decomposes uniquely as
 F = d(A) + B where B is the canonical obstruction: no monomial of B is
@@ -7,22 +8,25 @@ derivative.
 
 The reduction works under the elimination ranking u_2 > u_3 > ... > u_n
 (any derivative of an earlier variable beats every derivative of a later
-one; within one variable, higher derivative order wins).  A monomial whose
-leader v = u_l^{(k)}, k >= 1, appears linearly is rewritten through
+one; within one variable, higher derivative order wins), which
+``polynomials.elimination_rank`` defines.  A monomial whose leader
+v = u_l^{(k)}, k >= 1, appears linearly is rewritten through
 
     v * w^d * W = d(w^{d+1} W / (d+1)) - w^{d+1} W' / (d+1),   w = u_l^{(k-1)},
 
 which strictly lowers the leader, so the loop terminates with the
 irreducible remainder B.
+
+``euler`` shares no code with that reduction: for F without a constant
+term, every E_{u_l}(F) vanishes exactly when F is a total derivative
+(Olver, Applications of Lie Groups to Differential Equations, Thm 4.7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable
 
-from ._ratio import ONE, ZERO
 from .polynomials import (
     C_FAMILY,
     DiffPolynomial,
@@ -35,7 +39,7 @@ from .polynomials import (
     _lower_factor,
     _mono_leader,
     _pack,
-    homogeneous_monomials,
+    elimination_rank,
 )
 
 
@@ -64,11 +68,6 @@ class Decomposition:
 def _require_u_only(p: DiffPolynomial) -> None:
     if p.has_family(Y_FAMILY) or p.has_family(C_FAMILY):
         raise ValueError("integration is defined on polynomials in the u-variables only")
-
-
-def _rank(vid) -> tuple:
-    # larger tuple = higher rank under the elimination ranking
-    return (-vid[1], vid[2])
 
 
 def _reducible_leader(key: int):
@@ -113,7 +112,7 @@ def decompose(f: DiffPolynomial) -> Decomposition:
     filed: set = set()
     _file(work, buckets, filed)
     while buckets:
-        v = max(buckets, key=_rank)
+        v = max(buckets, key=elimination_rank)
         w_var = VarId(U_FAMILY, v.index, v.order - 1)
         # the bucket's monomials still in work, grouped by their w-degree
         groups: dict = {}
@@ -154,79 +153,22 @@ def antiderivative(f: DiffPolynomial) -> DiffPolynomial:
     return dec.antiderivative
 
 
-def antiderivative_by_ansatz(
-    f: DiffPolynomial, indices: Iterable[int] | None = None
-) -> DiffPolynomial:
-    """Independent integrator: solve d(sum l_i M_i) = f linearly.
+def euler(f: DiffPolynomial, l: int) -> DiffPolynomial:
+    """The Euler operator E_{u_l}(f) = sum_k (-d)^k df/du_l^{(k)}.
 
-    The ansatz runs over all homogeneous monomials M_i of weight w - 1 in
-    the given u-variable indices (defaults to the indices appearing in f).
-    Exact rational elimination; an inconsistent system means f is not a
-    total derivative.
+    It kills every total derivative; for f without a constant term, f is
+    a total derivative exactly when E_{u_l}(f) = 0 for every l.  Built on
+    ``items()``, the rational constructor and ``derive`` only.
     """
     _require_u_only(f)
-    if f.is_zero():
-        return DiffPolynomial.zero()
-    w = f.weight()
-    if indices is None:
-        indices = f.u_indices()
-    candidates = [m for m in homogeneous_monomials(w - 1, indices) if m]
-    derived = [dict(DiffPolynomial({m: ONE}).derive().items()) for m in candidates]
-    row_index: dict = {}
-    for terms in derived:
-        for mono in terms:
-            row_index.setdefault(mono, len(row_index))
-    rhs = [ZERO] * len(row_index)
+    partials: dict = {}  # k -> {monomial: coefficient} of df/du_l^{(k)}
     for mono, coeff in f.items():
-        if mono not in row_index:
-            # no candidate derivative produces this monomial
-            raise NotTotalDerivativeError(DiffPolynomial({mono: coeff}))
-        rhs[row_index[mono]] = coeff
-    matrix = [[ZERO] * len(candidates) for _ in range(len(row_index))]
-    for col, terms in enumerate(derived):
-        for mono, coeff in terms.items():
-            matrix[row_index[mono]][col] = coeff
-    solution = _solve_exact(matrix, rhs)
-    if solution is None:
-        raise NotTotalDerivativeError()
-    out: dict = {}
-    for mono, value in zip(candidates, solution):
-        if value:
-            out[mono] = value
-    return DiffPolynomial(out)
-
-
-def _solve_exact(matrix: list, rhs: list):
-    """Gaussian elimination over exact rationals.
-
-    Returns a solution vector, or None when the system is inconsistent.
-    Free columns (which cannot occur for the graded systems built above,
-    since the derivation is injective on positive weights) are set to 0.
-    """
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if aug[i][n_cols]:
-            return None
-    solution = [ZERO] * n_cols
-    for row, col in enumerate(pivots):
-        solution[col] = aug[row][n_cols]
-    return solution
+        for i, (vid, exp) in enumerate(mono):
+            if vid.index == l:
+                rest = mono[:i] + (((vid, exp - 1),) if exp > 1 else ()) + mono[i + 1 :]
+                partials.setdefault(vid.order, {})[rest] = exp * coeff
+    # sum_k (-d)^k P_k = P_0 - d(P_1 - d(P_2 - ...))
+    total = DiffPolynomial.zero()
+    for k in range(max(partials, default=-1), -1, -1):
+        total = DiffPolynomial(partials.get(k, {})) - total.derive()
+    return total

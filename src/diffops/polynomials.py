@@ -153,7 +153,7 @@ _BLOCK = 256
 _SLOTS: dict = {}  # VarId -> slot
 _VARS: list = [None] * _BLOCK  # slot -> VarId (None for a free slot)
 _WEIGHTS: list = [None] * _BLOCK  # slot -> weight of its variable
-_RANKS: list = [None] * _BLOCK  # slot -> rank under the elimination ranking (``_mono_leader``)
+_RANKS: list = [None] * _BLOCK  # slot -> ``elimination_rank`` of its variable
 # slot -> key step of replacing the variable by its derivative: 0 for a
 # constant, None until the first derivation that needs it
 _STEPS: list = [None] * _BLOCK
@@ -187,16 +187,24 @@ def _new_slot(vid: VarId) -> int:
             shift = _W * slot
             _VARS[slot] = vid
             _WEIGHTS[slot] = vid.weight()
+            _RANKS[slot] = elimination_rank(vid)
             if vid.family == C_FAMILY:
-                _RANKS[slot] = (-C_FAMILY, 0, 0)
                 _STEPS[slot] = 0
-            else:
-                _RANKS[slot] = (-vid.family, -vid.index, vid.order)
             _GUARD |= 1 << (shift + _W - 1)
             _HALF |= 1 << (shift + _W - 2)
             _FAMILY_FIELDS[vid.family] |= _FIELD << shift
             _SLOTS[vid] = slot  # published last: a slot is complete once found
     return slot
+
+
+def elimination_rank(vid) -> tuple:
+    """The place of a variable in the elimination ranking, as a tuple that
+    is larger for a higher rank: u before y before c, then the lower index,
+    then the higher derivative order.  ``_mono_leader`` ranks factors by it,
+    and ``integration.decompose`` ranks the leaders it reduces."""
+    if vid[0] == C_FAMILY:
+        return (-C_FAMILY, 0, 0)
+    return (-vid[0], -vid[1], vid[2])
 
 
 def _derivative_step(slot: int) -> int:
@@ -266,12 +274,8 @@ def _key_weight(key: int) -> int:
 
 
 def _mono_leader(key: int):
-    """(v, exp) for the highest-ranked factor v^exp of a key; None for the
-    monomial 1.
-
-    The ranking is the elimination ranking of ``integration``: u before y
-    before c, then the lower index, then the higher derivative order.
-    """
+    """(v, exp) for the factor v^exp of a key whose v ranks highest under
+    ``elimination_rank``; None for the monomial 1."""
     best = None
     for slot, exp in _unpack(key):
         if best is None or _RANKS[slot] > _RANKS[best[0]]:
@@ -509,9 +513,6 @@ class DiffPolynomial:
     def variables(self) -> set:
         # a field of the OR of all keys is nonzero when one key's is
         return {_VARS[slot] for slot, _ in _unpack(reduce(or_, self._nums, 0))}
-
-    def u_indices(self) -> set:
-        return {vid.index for vid in self.variables() if vid.family == U_FAMILY}
 
     def has_family(self, family: int) -> bool:
         return bool(reduce(or_, self._nums, 0) & _FAMILY_FIELDS[family])

@@ -5,12 +5,25 @@ from __future__ import annotations
 import random
 
 from diffops._ratio import Rational
+from diffops.integration import antiderivative, euler
 from diffops.operators import DiffOperator
 from diffops.polynomials import DiffPolynomial, homogeneous_monomials
 
 
 def rand_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Rational:
     return Rational(rng.randint(lo, hi), rng.randint(1, 6))
+
+
+def check_total_derivative(f: DiffPolynomial, indices) -> DiffPolynomial:
+    """Assert that f is a total derivative by a witness independent of the
+    reduction, and return A = antiderivative(f): d(A) = f, the monomial 1
+    is not in A, and E_{u_l}(f) = 0 for every l in ``indices``."""
+    a = antiderivative(f)
+    assert a.derive() == f
+    assert a.coefficient(()) == 0
+    for l in indices:
+        assert euler(f, l).is_zero(), l
+    return a
 
 
 def random_homogeneous(

@@ -15,10 +15,11 @@ from diffops.basis import (
     generic_P,
     solve_triangular,
 )
-from diffops.integration import antiderivative, antiderivative_by_ansatz
+from diffops.integration import euler
 from diffops.operators import DiffOperator, commutator
 from diffops.polynomials import Y_FAMILY, u, y
 from diffops.pseudo import TruncatedPDO, nth_root
+from helpers import check_total_derivative
 
 D = DiffOperator.d
 
@@ -150,13 +151,13 @@ class TestSolveTriangular:
             assert system.full_bracket.evaluate(solution).order <= n - 2, (n, m)
 
     def test_step_integrands_agree_across_methods(self):
-        # every intermediate integrand admits both integration routes
+        # every intermediate integrand is a total derivative by the reduction
+        # and by the Euler operator
         seen = []
 
         def check(index, integrand, value):
             seen.append(index)
-            if not integrand.is_zero():
-                assert antiderivative(integrand) == antiderivative_by_ansatz(integrand)
+            check_total_derivative(integrand, (2, 3))
 
         solve_triangular(bracket_system(3, 4), on_step=check)
         assert seen == [2, 3, 4]
@@ -204,6 +205,15 @@ class TestAlmostCommuting:
             result = almost_commuting(n, m)
             assert result.P == generic_L(n) ** (m // n)
             assert all(h.is_zero() for h in result.H)
+
+    def test_top_h_is_a_total_derivative(self):
+        # H_(m,n-2) = n (res Q^m)', so every Euler operator kills it; the
+        # lower H_(m,i) need not be total derivatives
+        for n in range(2, 6):
+            for m in range(1, 10):
+                top = almost_commuting(n, m).H[n - 2]
+                for l in range(2, n + 1):
+                    assert euler(top, l).is_zero(), (n, m, l)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -210,6 +210,16 @@ def _set_format_version(payload):
     payload["format_version"] = 7
 
 
+def _append_monic_top(payload):
+    # P of order m + 1, monic and with as many coefficients as its order says
+    payload["P"]["coefficients"].append([{"coeff": "1", "monomial": []}])
+    payload["P"]["order"] += 1
+
+
+def _scale_top_p(payload):
+    payload["P"]["coefficients"][-1][0]["coeff"] = "2"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -218,6 +228,8 @@ def _set_format_version(payload):
         _append_empty_p,
         _append_empty_p_with_order,
         _set_format_version,
+        _append_monic_top,
+        _scale_top_p,
         _set_factor(["y", 2, 0, 2]),
         _set_factor(["c", [4, 1], 0, 2]),
     ],
@@ -227,6 +239,8 @@ def _set_format_version(payload):
         "trailing-empty-coefficient",
         "trailing-empty-coefficient-with-order",
         "payload-format-version",
+        "p-order-not-m",
+        "non-monic-p",
         "y-factor",
         "constant-factor",
     ],
@@ -253,6 +267,17 @@ def test_factors_out_of_order_read_back_canonically(tmp_path):
     loaded = cache.get(3, 7)
     assert loaded is not None
     assert loaded.P == result.P and loaded.H == result.H
+
+
+def test_entry_moved_to_another_m_is_a_miss(tmp_path):
+    # payload m, key and file name all say 5, but P is P_4
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    _tamper(cache, 3, 4, lambda payload: payload.update(m=5))
+    entry = json.loads(cache.entry_path(3, 4).read_text(encoding="utf-8"))
+    entry["key"] = [3, 5]
+    cache.entry_path(3, 5).write_text(json.dumps(entry), encoding="utf-8")
+    assert cache.get(3, 5) is None
 
 
 def test_key_mismatch_rejected(tmp_path):

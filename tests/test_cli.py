@@ -92,6 +92,22 @@ class TestHierarchyCommand:
         body = (tmp_path / "(3_2)[SGD_2].txt").read_text()
         assert body.strip().endswith("= 0")
 
+    def test_latex_flow_files(self, tmp_path):
+        assert run("hierarchy", "--n", "3", "--m", "2", "--format", "latex",
+                   "--out", str(tmp_path), "--quiet") == 0
+        assert (tmp_path / "(3_2)[GD_2].tex").read_text() == "u_{2,t} = -u_2'' + 2u_3'\n"
+        assert (tmp_path / "(3_2)[GD_3].tex").read_text() == (
+            "u_{3,t} = -\\frac{2}{3}u_2 u_2' - \\frac{2}{3}u_2''' + u_3''\n"
+        )
+
+    def test_latex_stationary_files(self, tmp_path):
+        assert run("hierarchy", "--n", "3", "--m", "2", "--stationary", "--format", "latex",
+                   "--out", str(tmp_path), "--quiet") == 0
+        assert (tmp_path / "(3_2)[SGD_2].tex").read_text() == "-u_2'' + 2u_3' = 0\n"
+        assert (tmp_path / "(3_2)[SGD_3].tex").read_text() == (
+            "-\\frac{2}{3}u_2 u_2' - \\frac{2}{3}u_2''' + u_3'' = 0\n"
+        )
+
     def test_with_constants_flag(self, tmp_path):
         assert run("hierarchy", "--n", "3", "--m", "2", "--with-constants",
                    "--format", "json", "--out", str(tmp_path), "--quiet") == 0

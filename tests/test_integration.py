@@ -1,4 +1,5 @@
-"""Canonical decomposition F = d(A) + B and the two antiderivative routes."""
+"""Canonical decomposition F = d(A) + B, antiderivatives and the Euler
+operator that witnesses total derivatives."""
 
 import random
 
@@ -10,12 +11,12 @@ from diffops.basis import bracket_system, solve_triangular
 from diffops.integration import (
     NotTotalDerivativeError,
     antiderivative,
-    antiderivative_by_ansatz,
     decompose,
+    euler,
     is_reduced_monomial,
 )
 from diffops.polynomials import MAX_EXPONENT, DiffPolynomial, u, u_id, y
-from helpers import random_homogeneous, random_poly
+from helpers import check_total_derivative, random_homogeneous, random_poly
 
 HALF = Rational(1, 2)
 
@@ -145,44 +146,66 @@ class TestAntiderivative:
             assert a.is_homogeneous(w)
 
 
-class TestAnsatz:
-    def test_single_variable(self):
-        assert antiderivative_by_ansatz(u(2, 1)) == u(2)
+class TestEuler:
+    def test_known_values(self):
+        assert euler(u(2) * u(2, 2), 2) == 2 * u(2, 2)
+        assert euler(u(2, 1) ** 2, 2) == -2 * u(2, 2)
+        assert euler(u(2) * u(3) ** 2, 3) == 2 * u(2) * u(3)
+        assert euler(u(2) * u(3), 4).is_zero()
+        assert euler(DiffPolynomial.zero(), 2).is_zero()
 
-    def test_agrees_with_reduction_on_derivatives(self):
+    def test_kills_total_derivatives(self):
+        rng = random.Random(83)
+        for _ in range(40):
+            df = random_poly(rng, indices=(2, 3, 4), max_weight=7).derive()
+            for l in (2, 3, 4):
+                assert euler(df, l).is_zero()
+
+    def test_rejects_y_variables(self):
+        with pytest.raises(ValueError):
+            euler(y(2, 1), 2)
+
+    def test_derivatives_pass_three_part_check(self):
         rng = random.Random(73)
         for _ in range(25):
             w = rng.randint(3, 7)
-            f = random_homogeneous(rng, w, indices=(2, 3), nonzero=True)
-            df = f.derive()
-            assert antiderivative_by_ansatz(df) == antiderivative(df)
+            df = random_homogeneous(rng, w, indices=(2, 3), nonzero=True).derive()
+            check_total_derivative(df, (2, 3))
+
+    def test_graded_antiderivatives_are_unique(self):
+        # d is injective on polynomials without a constant term, so d(A) = F
+        # with () not in A pins A down
+        rng = random.Random(79)
+        for _ in range(15):
+            w = rng.randint(4, 8)
+            f = random_homogeneous(rng, w, indices=(2, 3, 4), nonzero=True)
+            assert check_total_derivative(f.derive(), (2, 3, 4)) == f
+
+    def test_inhomogeneous_total_derivative(self):
+        assert check_total_derivative(u(2, 1) + u(2, 2), (2,)) == u(2) + u(2, 1)
 
     def test_underived_product_is_rejected_by_both(self):
         f = u(2) * u(3) + u(3) * u(2)
         with pytest.raises(NotTotalDerivativeError):
             antiderivative(f)
-        with pytest.raises(NotTotalDerivativeError):
-            antiderivative_by_ansatz(f)
+        assert euler(f, 2) == 2 * u(3)
 
     def test_nonlinear_leader_rejected(self):
+        f = u(2, 1) ** 2
         with pytest.raises(NotTotalDerivativeError):
-            antiderivative_by_ansatz(u(2, 1) ** 2)
+            antiderivative(f)
+        assert not euler(f, 2).is_zero()
 
-    def test_inhomogeneous_rejected(self):
-        with pytest.raises(Exception):
-            antiderivative_by_ansatz(u(2, 1) + u(2, 2))
-
-    def test_explicit_index_set(self):
-        f = u(2, 1) * u(3) + u(2) * u(3, 1)
-        assert antiderivative_by_ansatz(f, indices={2, 3}) == u(2) * u(3)
-
-
-class TestUniqueness:
-    def test_graded_antiderivatives_are_unique(self):
-        # two successful routes to the same homogeneous input must agree
-        rng = random.Random(79)
-        for _ in range(15):
-            w = rng.randint(4, 8)
-            f = random_homogeneous(rng, w, indices=(2, 3, 4), nonzero=True)
-            df = f.derive()
-            assert antiderivative(df) == antiderivative_by_ansatz(df, indices={2, 3, 4})
+    def test_verdict_agrees_with_decompose(self):
+        # zero obstruction exactly when every Euler operator vanishes; the
+        # inputs have no constant term (random_poly starts at weight 2)
+        rng = random.Random(89)
+        verdicts = []
+        for _ in range(150):
+            f = random_poly(rng, indices=(2, 3, 4), max_weight=7)
+            if rng.random() < 0.5:
+                f = f.derive()
+            exact = decompose(f).obstruction.is_zero()
+            assert exact == all(euler(f, l).is_zero() for l in (2, 3, 4)), f
+            verdicts.append(exact)
+        assert 20 < sum(verdicts) < 130

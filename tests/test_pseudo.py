@@ -219,3 +219,17 @@ class TestAddition:
         q = nth_root(L(3), 1)
         with pytest.raises(InsufficientDepthError):
             q.mul_keep_low(q, -3)
+
+
+class TestRendering:
+    def test_exact(self):
+        pdo = TruncatedPDO({-1: ONE, 1: u(2)}, top=1, low=-1, exact_tail=True)
+        assert str(pdo) == "u2*D + D^-1"
+
+    def test_truncated_tail(self):
+        root = nth_root(L(3), 2)
+        assert str(root) == "D + 1/3*u2*D^-1 + (-1/3*u2' + 1/3*u3)*D^-2 + O(D^-3)"
+        assert repr(root) == f"TruncatedPDO({root})"
+
+    def test_zero_has_no_tail(self):
+        assert str(TruncatedPDO({}, top=0, low=-2)) == "0"
