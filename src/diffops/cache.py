@@ -1,10 +1,27 @@
 """Persistent result cache keyed by (n, m, format version).
 
-Entries are JSON files written atomically (temp file + rename) and
-protected by a content checksum: a corrupt or truncated entry is treated
-as a miss, never served, and so is a valid entry filed under another key.
-Concurrent writers of the same key converge to one valid entry because
-the final rename is atomic.
+Entries are JSON files written atomically (temp file + rename).  An entry
+for ``(n, m)`` is exactly the bytes
+
+    {"checksum": "<hex>", "format_version": 1, "key": [n, m], "payload": <text>}
+
+where ``<text>`` is ``json.dumps(payload, sort_keys=True)`` of the
+``formats.result_to_json`` payload, so the whole entry is the
+``json.dumps(entry, sort_keys=True)`` text of those four fields.  The
+checksum is ``sha256(canonical_json_bytes(payload))``.  No string of a
+payload holds ``", "`` or ``": "`` (coefficients are digits, ``-`` and
+``/``; letters are u, y, c; keys are fixed names), so ``<text>`` with those
+two separators made compact is exactly ``canonical_json_bytes(payload)``.
+``get`` therefore checks the header bytes for this ``(n, m)`` and version,
+compacts the payload bytes, hashes them and parses only those same bytes:
+what is served is what was hashed, and no hit encodes the payload again.
+``put`` encodes the payload once and takes the checksum from that text.
+
+An entry in any other layout (other whitespace or separators, other key
+order, another key or version in the header, trailing bytes) is a miss,
+and so is a corrupt or truncated entry or one the payload parser refuses:
+a miss is never served.  Concurrent writers of the same key converge to
+one valid entry because the final rename is atomic.
 
 The cache root comes from the DIFFOPS_CACHE_DIR environment variable and
 falls back to a per-user cache directory.  The format version is embedded
@@ -21,16 +38,15 @@ import tempfile
 from pathlib import Path
 
 from .basis import AlmostCommutingResult
-from .formats import (
-    FORMAT_VERSION,
-    canonical_json_bytes,
-    result_from_json,
-    result_to_json,
-)
+from .formats import FORMAT_VERSION, result_from_json, result_to_json
 
 CACHE_ENV_VAR = "DIFFOPS_CACHE_DIR"
 
 _ENTRY_RE = re.compile(r"^\((\d+)_(\d+)\)\.json$")
+
+# the entry up to its payload text; the checksum is the first field
+_HEAD = b'{"checksum": "%s", "format_version": %d, "key": [%d, %d], "payload": '
+_SUM_AT = _HEAD.index(b"%s")
 
 
 def default_cache_root() -> Path:
@@ -42,8 +58,12 @@ def default_cache_root() -> Path:
     return base / "diffops"
 
 
-def _checksum(payload: dict) -> str:
-    return hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
+def _canonical(text: bytes) -> tuple:
+    """``(canonical_json_bytes(payload), checksum)`` from the
+    ``json.dumps(payload, sort_keys=True)`` text of a payload whose strings
+    hold neither ``", "`` nor ``": "``."""
+    text = text.replace(b", ", b",").replace(b": ", b":")
+    return text, hashlib.sha256(text).hexdigest().encode("ascii")
 
 
 class ResultCache:
@@ -60,44 +80,45 @@ class ResultCache:
     def get(self, n: int, m: int) -> AlmostCommutingResult | None:
         path = self.entry_path(n, m)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-            # RecursionError: the decoder's nesting limit, e.g. "[" * 100000
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except OSError:
+            return None
+        checksum = raw[_SUM_AT : _SUM_AT + 64]
+        head = _HEAD % (checksum, FORMAT_VERSION, n, m)
+        if not raw.startswith(head) or not raw.endswith(b"}"):
+            return None
+        text = raw[len(head) : -1]
+        del raw  # the file buffer goes before the compact copy is made
+        text, expected = _canonical(text)
+        if checksum != expected:
             return None
         try:
-            payload = entry["payload"]
-            if entry["format_version"] != FORMAT_VERSION:
-                return None
-            if entry["key"] != [n, m]:
-                return None
-            if entry["checksum"] != _checksum(payload):
-                return None
+            text = text.decode("utf-8")  # rebound: the bytes go before the parse
+            payload = json.loads(text)
             # the checksum covers the payload only, not the key beside it
             if (payload["n"], payload["m"]) != (n, m):
                 return None
             return result_from_json(payload)
-        except (KeyError, TypeError, ValueError):
+        except (RecursionError, KeyError, TypeError, ValueError):
+            # RecursionError: the decoder's nesting limit, e.g. "[" * 100000;
+            # ValueError covers UnicodeDecodeError and json.JSONDecodeError
             return None
 
     def put(self, n: int, m: int, result: AlmostCommutingResult) -> Path:
-        payload = result_to_json(result)
-        entry = {
-            "format_version": FORMAT_VERSION,
-            "key": [n, m],
-            "checksum": _checksum(payload),
-            "payload": payload,
-        }
+        # one dumps call runs the C encoder (dump streams through the
+        # pure-Python one); sort_keys gives the layout get expects
+        text = json.dumps(result_to_json(result), sort_keys=True).encode("ascii")
         path = self.entry_path(n, m)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             prefix=path.name + ".", suffix=".tmp", dir=path.parent
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # dump streams through the stdlib's pure-Python encoder;
-                # one dumps call runs the C encoder and gives the same text
-                handle.write(json.dumps(entry, sort_keys=True))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_HEAD % (_canonical(text)[1], FORMAT_VERSION, n, m))
+                handle.write(text)
+                handle.write(b"}")
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -274,23 +274,21 @@ def _var_latex(vid) -> str:
     return f"{name}^{{({order})}}"
 
 
+def factor_latex(vid, exp: int) -> str:
+    base = _var_latex(vid)
+    if exp == 1:
+        return base
+    if vid[2] == 0:
+        return f"{base}^{exp}"
+    return f"\\left({base}\\right)^{exp}"
+
+
 def mono_latex(mono) -> str:
-    if not mono:
-        return "1"
-    parts = []
-    for vid, exp in mono:
-        base = _var_latex(vid)
-        if exp == 1:
-            parts.append(base)
-        elif vid[2] == 0:
-            parts.append(f"{base}^{exp}")
-        else:
-            parts.append(f"\\left({base}\\right)^{exp}")
-    return " ".join(parts)
+    return " ".join(factor_latex(vid, exp) for vid, exp in mono) or "1"
 
 
 def poly_latex(p: DiffPolynomial) -> str:
-    return render_sum(p, _coeff_latex, mono_latex, "")
+    return render_sum(p, _coeff_latex, factor_latex, " ", "")
 
 
 def _d_latex(power: int) -> str:

@@ -821,14 +821,9 @@ def _var_text(vid) -> str:
     return f"{name}^({order})"
 
 
-def mono_text(mono: Mono) -> str:
-    if not mono:
-        return "1"
-    parts = []
-    for vid, exp in mono:
-        base = _var_text(vid)
-        parts.append(base if exp == 1 else f"{base}^{exp}")
-    return "*".join(parts)
+def factor_text(vid, exp: int) -> str:
+    base = _var_text(vid)
+    return base if exp == 1 else f"{base}^{exp}"
 
 
 def join_signed(parts: Sequence[str]) -> str:
@@ -847,27 +842,37 @@ def join_signed(parts: Sequence[str]) -> str:
 def render_sum(
     p: DiffPolynomial,
     coeff_str: Callable,
-    mono_str: Callable[[Mono], str],
+    factor_str: Callable,
+    sep: str,
     times: str,
 ) -> str:
     """p as signed terms ``|c|{times}monomial``; unit coefficients are elided.
 
-    ``coeff_str(num, den)`` renders a positive coefficient in lowest terms.
+    ``coeff_str(num, den)`` renders a positive coefficient in lowest terms,
+    ``factor_str(vid, exp)`` one factor of a monomial, and ``sep`` joins the
+    factors.  Each distinct ``(vid, exp)`` factor is rendered once per call.
     """
     if p.is_zero():
         return "0"
+    factors = {}
     parts = []
     for mono, num, den in p.sorted_num_den():
+        texts = []
+        for factor in mono:
+            text = factors.get(factor)
+            if text is None:
+                text = factors[factor] = factor_str(*factor)
+            texts.append(text)
         mag = abs(num)
         if not mono:
             body = coeff_str(mag, den)
         elif mag == 1 and den == 1:
-            body = mono_str(mono)
+            body = sep.join(texts)
         else:
-            body = f"{coeff_str(mag, den)}{times}{mono_str(mono)}"
+            body = f"{coeff_str(mag, den)}{times}{sep.join(texts)}"
         parts.append(f"-{body}" if num < 0 else body)
     return join_signed(parts)
 
 
 def render_text(p: DiffPolynomial) -> str:
-    return render_sum(p, ratio_text, mono_text, "*")
+    return render_sum(p, ratio_text, factor_text, "*", "*")

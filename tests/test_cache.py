@@ -9,13 +9,18 @@ from pathlib import Path
 import pytest
 
 from diffops.basis import almost_commuting
-from diffops.cache import CACHE_ENV_VAR, ResultCache, _checksum, default_cache_root
-from diffops.formats import FORMAT_VERSION, result_to_json
+from diffops.cache import CACHE_ENV_VAR, ResultCache, default_cache_root
+from diffops.formats import FORMAT_VERSION, canonical_json_bytes, result_to_json
 from diffops.hierarchy import gd_equations
 
 PINNED_ENTRY = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
 )["cache_entry"]
+
+
+def _checksum(payload: dict) -> str:
+    """The entry checksum as defined: SHA-256 of the canonical payload bytes."""
+    return hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
 
 
 def test_put_get_round_trip(tmp_path):
@@ -60,6 +65,21 @@ def test_non_utf8_entry_is_a_miss(tmp_path):
     assert cache.get(3, 4) is None
 
 
+def test_non_utf8_payload_under_a_matching_checksum_is_a_miss(tmp_path):
+    # the header is intact and the checksum covers the altered bytes, so
+    # the payload itself is refused, and no UnicodeDecodeError escapes get
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    path = cache.entry_path(3, 4)
+    raw = path.read_bytes()
+    at = raw.index(b'"payload": ') + len(b'"payload": ')
+    body = raw[at:-1].replace(b'"coeff": "', b'"coeff": "\xff', 1)
+    digest = hashlib.sha256(body.replace(b", ", b",").replace(b": ", b":")).hexdigest()
+    old = json.loads(raw)["checksum"]
+    path.write_bytes(raw[:at].replace(old.encode(), digest.encode()) + body + b"}")
+    assert cache.get(3, 4) is None
+
+
 def test_deeply_nested_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(3, 4, almost_commuting(3, 4))
@@ -88,6 +108,14 @@ def test_large_entry_matches_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ENTRY
 
 
+@pytest.mark.parametrize("n, m", [(3, 7), (5, 9), (7, 13)])
+def test_written_checksum_is_sha256_of_canonical_payload(tmp_path, n, m):
+    result = almost_commuting(n, m)
+    path = ResultCache(tmp_path).put(n, m, result)
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    assert entry["checksum"] == _checksum(result_to_json(result))
+
+
 def _tamper(cache, n, m, edit) -> None:
     """Apply ``edit`` to the entry's payload and recompute its checksum, so
     only the payload parser can refuse it."""
@@ -96,6 +124,72 @@ def _tamper(cache, n, m, edit) -> None:
     edit(entry["payload"])
     entry["checksum"] = _checksum(entry["payload"])
     path.write_text(json.dumps(entry), encoding="utf-8")
+
+
+def test_noop_tamper_is_a_hit(tmp_path):
+    # control for every test built on _tamper: its rewrite keeps the layout
+    # get accepts, so a miss there comes from the payload parser
+    cache = ResultCache(tmp_path)
+    result = almost_commuting(3, 7)
+    cache.put(3, 7, result)
+    before = cache.entry_path(3, 7).read_bytes()
+    _tamper(cache, 3, 7, lambda payload: None)
+    assert cache.entry_path(3, 7).read_bytes() == before
+    loaded = cache.get(3, 7)
+    assert loaded is not None
+    assert loaded.P == result.P and loaded.H == result.H
+
+
+def _sorted_entry(n, m, payload) -> dict:
+    return {
+        "checksum": _checksum(payload),
+        "format_version": FORMAT_VERSION,
+        "key": [n, m],
+        "payload": payload,
+    }
+
+
+def _reversed_keys(obj):
+    if isinstance(obj, dict):
+        return {key: _reversed_keys(obj[key]) for key in reversed(list(obj))}
+    if isinstance(obj, list):
+        return [_reversed_keys(item) for item in obj]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        lambda entry: json.dumps(entry, sort_keys=True, indent=2),
+        lambda entry: json.dumps(entry, sort_keys=True, separators=(",", ":")),
+        lambda entry: json.dumps(_reversed_keys(entry)),
+        lambda entry: json.dumps(dict(entry, payload=_reversed_keys(entry["payload"]))),
+        lambda entry: json.dumps(entry, sort_keys=True) + "\n",
+    ],
+    ids=["indent", "compact", "unsorted-keys", "unsorted-payload-keys", "trailing-newline"],
+)
+def test_checksum_valid_entry_in_another_layout_is_a_miss(tmp_path, render):
+    cache = ResultCache(tmp_path)
+    result = almost_commuting(3, 4)
+    cache.put(3, 4, result)
+    entry = _sorted_entry(3, 4, result_to_json(result))
+    assert json.loads(cache.entry_path(3, 4).read_text(encoding="utf-8")) == entry
+    cache.entry_path(3, 4).write_text(render(entry), encoding="utf-8")
+    assert cache.get(3, 4) is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("key", [3, 5]), ("key", [4, 3]), ("format_version", FORMAT_VERSION + 1)],
+    ids=["other-m", "other-n", "other-version"],
+)
+def test_header_of_another_key_or_version_is_a_miss(tmp_path, field, value):
+    cache = ResultCache(tmp_path)
+    result = almost_commuting(3, 4)
+    cache.put(3, 4, result)
+    entry = dict(_sorted_entry(3, 4, result_to_json(result)), **{field: value})
+    cache.entry_path(3, 4).write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+    assert cache.get(3, 4) is None
 
 
 @pytest.mark.parametrize("coeff", ["1/0", "1.5", "abc", "2/4"])

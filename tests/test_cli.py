@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,11 @@ from diffops.polynomials import DiffPolynomial, u
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
     yield
+
+
+CLI_FILES = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+)["cli_files"]
 
 
 def run(*argv) -> int:
@@ -64,6 +71,25 @@ class TestBasisCommand:
         assert run("basis", "--n", "3", "--m", "4", "--out", str(out2), "--quiet") == 0
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_warm_cache_files_match_pinned_digests(self, tmp_path, monkeypatch):
+        assert run("basis", "--n", "7", "--m", "13", "--out", str(tmp_path / "cold"),
+                   "--quiet") == 0
+
+        import diffops.basis as basis_module
+
+        def boom(*args, **kwargs):
+            raise AssertionError("expected a cache hit, not a recomputation")
+
+        monkeypatch.setattr(basis_module, "solve_triangular", boom)
+        out = tmp_path / "warm"
+        for fmt in ("json", "latex", "text"):
+            assert run("basis", "--n", "7", "--m", "13", "--format", fmt,
+                       "--out", str(out), "--quiet") == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        want = {name: digest for name, digest in CLI_FILES.items() if name.startswith("(7_13)")}
+        assert len(want) == 21
+        assert got == want
 
     def test_non_utf8_cache_entry_is_recomputed(self, tmp_path):
         out1 = tmp_path / "a"

@@ -195,6 +195,17 @@ class TestLatex:
         assert mono_latex(()) == "1"
 
 
+class TestFactorMemo:
+    def test_each_variable_at_several_exponents(self):
+        # u_2 and u_2' each appear with exponents 1 and 2, so a factor memo
+        # keyed by the variable alone repeats one exponent for both
+        p = u(2) ** 2 * u(2, 1) + 3 * u(2) * u(2, 1) ** 2 - c(4, 1) * u(3, 2) - Q(1, 2)
+        assert str(p) == "3*u2*u2'^2 + u2^2*u2' - u3''*c[4,1] - 1/2"
+        assert poly_latex(p) == (
+            "3u_2 \\left(u_2'\\right)^2 + u_2^2 u_2' - u_3'' c_{4,1} - \\frac{1}{2}"
+        )
+
+
 class TestRenderDispatch:
     def test_poly_formats(self):
         p = Q(1, 2) * u(2)
