@@ -251,12 +251,9 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, with_m=True, m_minimum=1):
+    def common(p, m_minimum=1):
         p.add_argument("--n", type=_at_least(2), required=True, help="operator order")
-        if with_m:
-            p.add_argument(
-                "--m", type=_at_least(m_minimum), required=True, help="basis index"
-            )
+        p.add_argument("--m", type=_at_least(m_minimum), required=True, help="basis index")
         p.add_argument(
             "--format", choices=sorted(_EXTENSIONS), default="text", help="output format"
         )

@@ -14,11 +14,11 @@ printer uses u_2', u_2'', u_2''', u_2^{(4)} derivative marks.
 
 The ``json`` render of a polynomial, an operator or a flow equation is
 byte-identical to ``json.dumps(..., indent=2)`` of its encoding, but
-``poly_json_text`` writes it from the sorted terms with fixed glue and
-renders each distinct factor once.  The stdlib runs its C encoder only for
-a one-shot ``dumps`` without ``indent``; with ``indent`` (or through
-``dump``) every list and dict of the payload goes through its pure-Python
-encoder, several times slower on a large result.
+``poly_json_text`` writes it from ``DiffPolynomial.sorted_terms`` with
+fixed glue, which renders each distinct factor once.  The stdlib runs its
+C encoder only for a one-shot ``dumps`` without ``indent``; with
+``indent`` (or through ``dump``) every list and dict of the payload goes
+through its pure-Python encoder, several times slower on a large result.
 """
 
 from __future__ import annotations
@@ -65,17 +65,10 @@ def poly_to_json(p: DiffPolynomial) -> list:
     Each distinct factor is encoded once per call, so terms that share a
     factor share its list: copy a term before editing it in place.
     """
-    factors = {}
-    terms = []
-    for mono, num, den in p.sorted_num_den():
-        monomial = []
-        for factor in mono:
-            encoded = factors.get(factor)
-            if encoded is None:
-                encoded = factors[factor] = _factor_to_json(*factor)
-            monomial.append(encoded)
-        terms.append({"coeff": ratio_text(num, den), "monomial": monomial})
-    return terms
+    return [
+        {"coeff": ratio_text(num, den), "monomial": monomial}
+        for monomial, num, den in p.sorted_terms(_factor_to_json)
+    ]
 
 
 def _list_text(items: list, depth: int) -> str:
@@ -105,20 +98,15 @@ def poly_json_text(p: DiffPolynomial, depth: int = 0) -> str:
     """
     pad = "  " * depth
     factor_pad = f"\n{pad}      "
-    blocks = {}
-    terms = []
-    for mono, num, den in p.sorted_num_den():
-        factors = []
-        for factor in mono:
-            block = blocks.get(factor)
-            if block is None:
-                text = json.dumps(_factor_to_json(*factor), indent=2)
-                block = blocks[factor] = text.replace("\n", factor_pad)
-            factors.append(block)
-        terms.append(
-            f'{{\n{pad}    "coeff": "{ratio_text(num, den)}",'
-            f'\n{pad}    "monomial": {_list_text(factors, depth + 2)}\n{pad}  }}'
-        )
+
+    def factor_block(vid, exp):
+        return json.dumps(_factor_to_json(vid, exp), indent=2).replace("\n", factor_pad)
+
+    terms = [
+        f'{{\n{pad}    "coeff": "{ratio_text(num, den)}",'
+        f'\n{pad}    "monomial": {_list_text(blocks, depth + 2)}\n{pad}  }}'
+        for blocks, num, den in p.sorted_terms(factor_block)
+    ]
     return _list_text(terms, depth)
 
 

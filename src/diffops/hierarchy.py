@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._ratio import Rational
-from .basis import almost_commuting_basis
+from .basis import almost_commuting, almost_commuting_basis
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator
 from .polynomials import DiffPolynomial, c, u
@@ -67,15 +67,18 @@ def kdv_recursion_operator() -> RecursionOperator:
 def gd_equations(n: int, m: int, with_constants: bool = True, cache=None) -> list:
     """The n-1 flow equations of the level-m hierarchy.
 
-    with_constants=False sets every c_{m,j} to zero.  Reuses cached
-    almost-commuting results when a cache is supplied.
+    with_constants=False sets every c_{m,j} to zero and computes only
+    P_m.  Reuses cached almost-commuting results when a cache is supplied.
     """
     if n < 2 or m < 2:
         raise ValueError("hierarchy levels need n >= 2 and m >= 2")
-    results = almost_commuting_basis(n, m, cache=cache)
+    if with_constants:
+        results = almost_commuting_basis(n, m, cache=cache)
+    else:  # only P_m is read
+        results = [almost_commuting(n, m, cache=cache)]
     equations = []
     for i in range(2, n + 1):
-        rhs = results[m - 1].H[n - i]
+        rhs = results[-1].H[n - i]
         if with_constants:
             for j in range(1, m):
                 rhs = rhs + c(m, j) * results[j - 1].H[n - i]

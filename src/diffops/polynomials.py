@@ -35,7 +35,7 @@ blocks of their own, so the keys of the long-lived u-monomials stay short
 (an int's size is that of its highest field).  The table only grows, by
 one slot per distinct variable; it is the one state of this module that
 outlives a call.  Only this module builds or takes keys apart: ``items()``,
-``coefficient()``, ``sorted_num_den()``, ``from_dict``, the constructors
+``coefficient()``, ``sorted_terms()``, ``from_dict``, the constructors
 and pickles speak the canonical form of a monomial, a tuple of
 ``(VarId, exp)`` pairs sorted by VarId, with no zero exponent (``()`` is
 the monomial 1).  So slot numbers never reach an output, and no result
@@ -453,9 +453,11 @@ class DiffPolynomial:
         den = self._den
         return ((_mono(m), Rational(c, den)) for m, c in self._nums.items())
 
-    def sorted_num_den(self) -> list:
-        """[(mono, num, den)] in canonical order (``mono_sort_key``), each
-        num/den in lowest terms."""
+    def sorted_terms(self, factor_str: Callable) -> list:
+        """[(factors, num, den)] in canonical order (``mono_sort_key``), each
+        num/den in lowest terms; ``factors`` lists ``factor_str(vid, exp)``
+        of the monomial's factors.  ``factor_str`` is called once per
+        distinct factor, so terms that share a factor share its value."""
         nums = self._nums
         # A factor v^e sorts by its code rank(v) << _W | e, which orders as
         # the pair (v, e) does; rank(v) is v's place among the variables
@@ -483,14 +485,14 @@ class DiffPolynomial:
             codes.sort()
             rows.append((-weight, codes, num))
         rows.sort()  # (-weight, codes) is unique, so no num is compared
-        pairs = {  # code -> its (VarId, exp), one pair shared by all monomials
-            code: (used[code >> width][0], code & field)
+        rendered = {
+            code: factor_str(used[code >> width][0], code & field)
             for code in set(chain.from_iterable(row[1] for row in rows))
         }
         den = self._den
         for i, (_, codes, num) in enumerate(rows):
             g = gcd(num, den)
-            rows[i] = (tuple(map(pairs.__getitem__, codes)), num // g, den // g)
+            rows[i] = (list(map(rendered.__getitem__, codes)), num // g, den // g)
         return rows
 
     def is_zero(self) -> bool:
@@ -849,22 +851,15 @@ def render_sum(
     """p as signed terms ``|c|{times}monomial``; unit coefficients are elided.
 
     ``coeff_str(num, den)`` renders a positive coefficient in lowest terms,
-    ``factor_str(vid, exp)`` one factor of a monomial, and ``sep`` joins the
-    factors.  Each distinct ``(vid, exp)`` factor is rendered once per call.
+    ``factor_str(vid, exp)`` one factor of a monomial (once per distinct
+    factor, through ``sorted_terms``), and ``sep`` joins the factors.
     """
     if p.is_zero():
         return "0"
-    factors = {}
     parts = []
-    for mono, num, den in p.sorted_num_den():
-        texts = []
-        for factor in mono:
-            text = factors.get(factor)
-            if text is None:
-                text = factors[factor] = factor_str(*factor)
-            texts.append(text)
+    for texts, num, den in p.sorted_terms(factor_str):
         mag = abs(num)
-        if not mono:
+        if not texts:
             body = coeff_str(mag, den)
         elif mag == 1 and den == 1:
             body = sep.join(texts)

@@ -84,10 +84,6 @@ class TruncatedPDO:
     def exact_tail(self) -> bool:
         return self._exact_tail
 
-    @property
-    def truncated(self) -> bool:
-        return not self._exact_tail
-
     def coefficient_at(self, power: int) -> DiffPolynomial:
         if power > self._top:
             return _ZERO_POLY

@@ -69,6 +69,23 @@ class TestFlowEquations:
         with pytest.raises(ValueError):
             gd_equations(3, 1)
 
+    @pytest.mark.parametrize("with_constants, levels", [(False, [5]), (True, [1, 2, 3, 4, 5])])
+    def test_computes_only_the_levels_it_reads(self, with_constants, levels):
+        class RecordingCache:
+            def __init__(self):
+                self.gets, self.puts = [], []
+
+            def get(self, n, m):
+                self.gets.append((n, m))
+                return None
+
+            def put(self, n, m, result):
+                self.puts.append((n, m))
+
+        cache = RecordingCache()
+        gd_equations(4, 5, with_constants, cache=cache)
+        assert cache.gets == cache.puts == [(4, m) for m in levels]
+
 
 class TestStationary:
     def test_divisible_level_is_trivial(self):

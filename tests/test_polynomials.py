@@ -26,6 +26,7 @@ from diffops.polynomials import (
     NotHomogeneousError,
     VarId,
     c,
+    c_id,
     homogeneous_monomials,
     mono_sort_key,
     u,
@@ -223,6 +224,38 @@ class TestCanonicalForm:
         vid = u_id(2, 1)
         p = DiffPolynomial.from_dict({((vid, 1),): "2/4"})
         assert p == HALF * u(2, 1)
+
+    def test_sorted_terms_order(self):
+        rng = random.Random(211)
+        for _ in range(30):
+            p = (
+                random_y_poly(rng)
+                + c(3, 1) * random_poly(rng, max_weight=4)
+                + rand_rational(rng) * c(4, 2) ** 2 * y(2, 1) * c(3, 1)
+                + rand_rational(rng)
+            )
+            expected = [
+                (list(mono), coeff.numerator, coeff.denominator)
+                for mono, coeff in sorted(p.items(), key=lambda t: mono_sort_key(t[0]))
+            ]
+            assert p.sorted_terms(lambda vid, exp: (vid, exp)) == expected
+
+    def test_sorted_terms_renders_each_factor_once(self):
+        p = u(2) * u(2, 1) + 3 * u(2) ** 2 - c(4, 1) * u(2) ** 2 + c(4, 1) * u(2) + 5
+        calls = []
+
+        def factor_str(vid, exp):
+            calls.append((vid, exp))
+            return [vid, exp]
+
+        terms = p.sorted_terms(factor_str)
+        assert sorted(calls) == [(u_id(2), 1), (u_id(2), 2), (u_id(2, 1), 1), (c_id(4, 1), 1)]
+        assert [[tuple(f) for f in factors] for factors, _, _ in terms] == [
+            list(mono) for mono in sorted((m for m, _ in p.items()), key=mono_sort_key)
+        ]
+        # terms that share a factor share its rendered value
+        squares = [factors for factors, _, _ in terms if [u_id(2), 2] in factors]
+        assert len(squares) == 2 and squares[0][0] is squares[1][0]
 
     def test_varid_ordering(self):
         assert u_id(2, 1) < u_id(2, 2) < u_id(3, 0)

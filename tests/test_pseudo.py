@@ -41,7 +41,7 @@ class TestCommutationExpansion:
         assert result.coefficient_at(-1) == u(2)
         assert result.coefficient_at(-2) == -u(2, 1)
         assert result.coefficient_at(-3) == u(2, 2)
-        assert result.low == -3 and result.truncated
+        assert result.low == -3 and not result.exact_tail
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_negative_powers_against_multiplication(self, k):
@@ -204,7 +204,7 @@ class TestPositivePart:
 
     def test_truncation_flag_round_trip(self):
         q = nth_root(L(2), 3)
-        assert q.truncated and q.depth == 3
+        assert not q.exact_tail and q.depth == 3
         exact = as_pdo(L(2))
         assert exact.exact_tail and exact.depth == 0
 
