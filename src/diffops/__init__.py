@@ -35,7 +35,6 @@ from .polynomials import (
     NotHomogeneousError,
     VarId,
     c,
-    homogeneous_monomials,
     u,
     y,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "gd_equations",
     "generic_L",
     "generic_P",
-    "homogeneous_monomials",
     "kdv_recursion_operator",
     "kdv_sequence",
     "nth_root",

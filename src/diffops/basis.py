@@ -14,8 +14,9 @@ ring: bracket L against the ansatz
 extract the coefficients of d^{n+m-3} down to d^{n-1} as equations on the
 y's.  The system is triangular: the equation at d^{n+m-i} reads
 n*y_{i-1}' + (terms in earlier y's), so each y is recovered by one
-substitution and one closed-form integration.  Substituting the solution
-into P~_m yields P_m together with the hierarchy polynomials H_{m,i}
+substitution and one closed-form integration.  The solution y_l = q_l
+gives P_m = d^m + q_2 d^{m-2} + ... + q_m directly; substituting it into
+the low band of the bracket yields the hierarchy polynomials H_{m,i}
 defined by [P_m, L] = H_{m,0} + H_{m,1} d + ... + H_{m,n-2} d^{n-2}.
 """
 
@@ -148,7 +149,9 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
     result = AlmostCommutingResult(
         n=n,
         m=m,
-        P=generic_P(m).evaluate(solution),
+        P=DiffOperator.from_dict(
+            {m: DiffPolynomial.one(), **{m - l: q for l, q in solution.items()}}
+        ),
         H=tuple(H.coefficient_at(i) for i in range(n - 1)),
     )
     if cache is not None:

@@ -216,16 +216,19 @@ _MONIC_TOP = [{"coeff": "1", "monomial": []}]
 
 def result_from_json(data: dict) -> AlmostCommutingResult:
     """The result of a ``result_to_json`` payload.  Besides what
-    ``poly_from_json`` refuses, ValueError for another format version, a
-    ``P`` order other than m or than its coefficient count - 1, a top ``P``
-    coefficient other than 1, an ``H`` count other than n - 1 and a factor
-    other than u (checked once per distinct factor: all polynomials share
-    one memo)."""
-    n, P, H = data["n"], data["P"], data["H"]
+    ``poly_from_json`` refuses, ValueError for a format version, n, m or
+    ``P`` order that is not a plain int (``true`` and ``3.0`` are not),
+    another format version, a ``P`` order other than m or than its
+    coefficient count - 1, a top ``P`` coefficient other than 1, an ``H``
+    count other than n - 1 and a factor other than u (checked once per
+    distinct factor: all polynomials share one memo)."""
+    version, n, m, P, H = data["format_version"], data["n"], data["m"], data["P"], data["H"]
     coeffs = P["coefficients"]
-    if data["format_version"] != FORMAT_VERSION or len(H) != n - 1:
+    if any(type(x) is not int for x in (version, n, m, P["order"])):
+        raise ValueError("non-integer field in result payload")
+    if version != FORMAT_VERSION or len(H) != n - 1:
         raise ValueError("inconsistent result payload")
-    if P["order"] != data["m"] or P["order"] != len(coeffs) - 1 or coeffs[-1:] != [_MONIC_TOP]:
+    if P["order"] != m or P["order"] != len(coeffs) - 1 or coeffs[-1:] != [_MONIC_TOP]:
         raise ValueError("non-canonical P")
     factors: dict = {}
     polys = [_poly_from_json(p, factors) for p in coeffs + H]
@@ -233,7 +236,7 @@ def result_from_json(data: dict) -> AlmostCommutingResult:
         raise ValueError("a result holds polynomials in u only")
     return AlmostCommutingResult(
         n=n,
-        m=data["m"],
+        m=m,
         P=DiffOperator.from_coeffs(polys[: len(coeffs)]),
         H=tuple(polys[len(coeffs) :]),
     )
@@ -269,10 +272,6 @@ def factor_latex(vid, exp: int) -> str:
     if vid[2] == 0:
         return f"{base}^{exp}"
     return f"\\left({base}\\right)^{exp}"
-
-
-def mono_latex(mono) -> str:
-    return " ".join(factor_latex(vid, exp) for vid, exp in mono) or "1"
 
 
 def poly_latex(p: DiffPolynomial) -> str:

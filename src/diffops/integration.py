@@ -38,7 +38,6 @@ from .polynomials import (
     _exponent_of,
     _lower_factor,
     _mono_leader,
-    _pack,
     elimination_rank,
 )
 
@@ -75,12 +74,6 @@ def _reducible_leader(key: int):
     linear, so that the rewriting applies; None otherwise."""
     lead = _mono_leader(key)
     return lead[0] if lead is not None and lead[0].order and lead[1] == 1 else None
-
-
-def is_reduced_monomial(mono) -> bool:
-    """True when the monomial belongs to the canonical obstruction space:
-    either its leader carries no derivative, or the leader is nonlinear."""
-    return _reducible_leader(_pack(mono)) is None
 
 
 def _file(monos, buckets: dict, filed: set) -> None:

@@ -60,7 +60,7 @@ from functools import reduce
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._ratio import Rational
 
@@ -507,11 +507,6 @@ class DiffPolynomial:
     def coefficient(self, mono: Mono):
         return Rational(self._nums.get(_pack(mono), 0), self._den)
 
-    def total_degree(self) -> int:
-        if not self._nums:
-            return 0
-        return max(sum(exp for _, exp in _unpack(m)) for m in self._nums)
-
     def variables(self) -> set:
         # a field of the OR of all keys is nonzero when one key's is
         return {_VARS[slot] for slot, _ in _unpack(reduce(or_, self._nums, 0))}
@@ -533,13 +528,6 @@ class DiffPolynomial:
             if _key_weight(key) != w:
                 raise NotHomogeneousError(f"mixed weights in {self!r}")
         return w
-
-    def is_homogeneous(self, weight: int | None = None) -> bool:
-        try:
-            w = self.weight()
-        except NotHomogeneousError:
-            return False
-        return w is None or weight is None or w == weight
 
     # -- ring operations ----------------------------------------------
 
@@ -762,50 +750,6 @@ def y(l: int, k: int = 0) -> DiffPolynomial:
 def c(m: int, j: int) -> DiffPolynomial:
     """The formal constant c_{m,j}."""
     return DiffPolynomial.variable(c_id(m, j))
-
-
-# -- weighted monomial enumeration --------------------------------------
-
-
-def homogeneous_monomials(weight: int, indices: Iterable[int]) -> list:
-    """All monomials in {u_l^{(k)} : l in indices} of exact weight.
-
-    Complete and duplicate-free; every u-variable has weight >= 2, so the
-    list is finite.  Returned in the canonical monomial order.
-    """
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    if weight == 0:
-        return [()]
-    inds = sorted(set(indices))
-    if any(l < 2 for l in inds):
-        raise ValueError("u-variable indices start at 2")
-    variables = [
-        (U_FAMILY, l, k) for l in inds for k in range(weight - l + 1) if l <= weight
-    ]
-    variables.sort()
-    out: list = []
-    acc: list = []
-
-    def extend(pos: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if pos == len(variables):
-            return
-        vid = variables[pos]
-        extend(pos + 1, remaining)
-        w = vid[1] + vid[2]
-        e = 1
-        while e * w <= remaining:
-            acc.append((vid, e))
-            extend(pos + 1, remaining - e * w)
-            acc.pop()
-            e += 1
-
-    extend(0, weight)
-    out.sort(key=mono_sort_key)
-    return out
 
 
 # -- plain-text rendering ------------------------------------------------

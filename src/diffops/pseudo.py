@@ -97,14 +97,6 @@ class TruncatedPDO:
         """Weight r such that the coefficient of d^i has weight r - i."""
         return operator_weight(self._coeffs)
 
-    def agrees_with(self, other: "TruncatedPDO", low: int) -> bool:
-        """Coefficient-wise equality on powers >= low."""
-        top = max(self._top, other._top)
-        return all(
-            self.coefficient_at(p) == other.coefficient_at(p)
-            for p in range(low, top + 1)
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPDO):
             return NotImplemented

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 from diffops._ratio import Rational
 from diffops.integration import antiderivative, euler
 from diffops.operators import DiffOperator
-from diffops.polynomials import DiffPolynomial, homogeneous_monomials
+from diffops.polynomials import DiffPolynomial, mono_sort_key, u_id
 
 
 def rand_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Rational:
@@ -26,6 +28,25 @@ def check_total_derivative(f: DiffPolynomial, indices) -> DiffPolynomial:
     return a
 
 
+@functools.cache  # the random generators ask for the same few sets thousands of times
+def brute_force_weighted_monomials(weight: int, indices: tuple) -> frozenset:
+    """All monomials in {u_l^{(k)} : l in indices} of exact weight >= 1:
+    combinations with repetition of the variables, each of weight >= 2."""
+    variables = [
+        u_id(l, k) for l in indices for k in range(0, weight - l + 1) if l <= weight
+    ]
+    found = set()
+    max_degree = weight // 2
+    for degree in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(variables, degree):
+            if sum(v.weight() for v in combo) == weight:
+                mono = {}
+                for v in combo:
+                    mono[v] = mono.get(v, 0) + 1
+                found.add(tuple(sorted(mono.items())))
+    return frozenset(found)
+
+
 def random_homogeneous(
     rng: random.Random,
     weight: int,
@@ -33,7 +54,7 @@ def random_homogeneous(
     max_terms: int = 4,
     nonzero: bool = False,
 ) -> DiffPolynomial:
-    monos = homogeneous_monomials(weight, indices)
+    monos = sorted(brute_force_weighted_monomials(weight, tuple(sorted(indices))), key=mono_sort_key)
     if not monos:
         return DiffPolynomial.zero()
     count = min(len(monos), rng.randint(1, max_terms))

@@ -116,7 +116,7 @@ def test_criterion_6_scale_reproduction():
     elapsed = time.perf_counter() - t0
     assert result.P.monomials_total() == 830
     counts = [len(h) for h in result.H]
-    degrees = [h.total_degree() for h in result.H]
+    degrees = [max(sum(exp for _, exp in mono) for mono, _ in h.items()) for h in result.H]
     assert len(result.H) == 6
     assert degrees == [7] * 6
     assert min(counts) == 744
@@ -167,7 +167,9 @@ def test_criterion_8_structural_properties():
         root = nth_root(L, 10)
         tail = 10 - (n - 1)
         power = root.power(n, tail_depth=tail)
-        assert power.agrees_with(TruncatedPDO.from_operator(L), low=-tail), n
+        expected = TruncatedPDO.from_operator(L)
+        for p in range(-tail, n + 1):
+            assert power.coefficient_at(p) == expected.coefficient_at(p), (n, p)
     q3 = nth_root(generic_L(3), 2)
     assert q3.coefficient_at(1) == u(2) ** 0
     assert q3.coefficient_at(0).is_zero()

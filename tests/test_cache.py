@@ -314,6 +314,11 @@ def _scale_top_p(payload):
     payload["P"]["coefficients"][-1][0]["coeff"] = "2"
 
 
+def _float_m_and_p_order(payload):
+    # 7.0 == 7, so only a type check tells these from the ints they replace
+    payload["m"] = payload["P"]["order"] = 7.0
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -326,6 +331,11 @@ def _scale_top_p(payload):
         _scale_top_p,
         _set_factor(["y", 2, 0, 2]),
         _set_factor(["c", [4, 1], 0, 2]),
+        lambda payload: payload.update(format_version=True),
+        lambda payload: payload.update(n=3.0),
+        lambda payload: payload.update(m=7.0),
+        lambda payload: payload["P"].update(order=7.0),
+        _float_m_and_p_order,
     ],
     ids=[
         "h-count",
@@ -337,6 +347,11 @@ def _scale_top_p(payload):
         "non-monic-p",
         "y-factor",
         "constant-factor",
+        "format-version-true",
+        "n-float",
+        "m-float",
+        "p-order-float",
+        "m-and-p-order-float",
     ],
 )
 def test_inconsistent_result_is_a_miss(tmp_path, edit):

@@ -13,7 +13,6 @@ from diffops.basis import almost_commuting
 from diffops.cli import _render_flow
 from diffops.formats import (
     canonical_json_bytes,
-    mono_latex,
     operator_from_json,
     operator_latex,
     operator_to_json,
@@ -188,11 +187,11 @@ class TestLatex:
         assert poly_latex(DiffPolynomial.zero()) == "0"
 
     def test_power_of_derived_factor(self):
-        assert mono_latex(((u_id(2, 1), 2),)) == "\\left(u_2'\\right)^2"
+        assert poly_latex(u(2, 1) ** 2) == "\\left(u_2'\\right)^2"
         assert poly_latex(u(2, 1) ** 2 * u(3) + 3) == "\\left(u_2'\\right)^2 u_3 + 3"
 
     def test_monomial_one(self):
-        assert mono_latex(()) == "1"
+        assert poly_latex(DiffPolynomial.one()) == "1"
 
 
 class TestFactorMemo:
