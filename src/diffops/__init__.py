@@ -19,7 +19,6 @@ from .hierarchy import (
     gd_equations,
     kdv_recursion_operator,
     kdv_sequence,
-    stationary_equations,
 )
 from .integration import (
     Decomposition,
@@ -76,7 +75,6 @@ __all__ = [
     "kdv_sequence",
     "nth_root",
     "solve_triangular",
-    "stationary_equations",
     "u",
     "y",
 ]

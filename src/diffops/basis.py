@@ -27,7 +27,7 @@ from typing import Callable
 
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator, commutator
-from .polynomials import DiffPolynomial, Y_FAMILY, u, y
+from .polynomials import DiffPolynomial, IncompleteSolutionError, u, y
 
 
 def generic_L(n: int) -> DiffOperator:
@@ -93,23 +93,25 @@ def solve_triangular(
     """The unique weighted solution {i: q_i} of the bracket system.
 
     Equations are consumed in ascending order of the solved variable
-    (y_2 first); each step substitutes the solution found so far, strips
-    the n*y_i' head and integrates the remainder in closed form.  The
-    remainder is guaranteed to be a total derivative; a failing
-    integration therefore signals an internal inconsistency and surfaces
-    as NotTotalDerivativeError with diagnostics.
+    (y_2 first); each step strips the n*y_i' head, substitutes the
+    solution found so far and integrates the remainder in closed form.
+    The remainder is guaranteed to be free of y's and a total derivative;
+    a y left over or a failing integration therefore signals an internal
+    inconsistency and surfaces as NotTotalDerivativeError with diagnostics.
     """
     n = system.n
     assignments: dict = {}
     for offset, equation in enumerate(system.equations):
         index = offset + 2
-        # substitute known q's; the pending y_index passes through unchanged
-        partial = equation.evaluate({**assignments, index: y(index)})
-        rest = partial - n * y(index, 1)
-        if rest.has_family(Y_FAMILY):
+        try:
+            rest = (equation - n * y(index, 1)).evaluate(assignments)
+        except IncompleteSolutionError as exc:
             raise NotTotalDerivativeError(
-                context=f"equation for y_{index} is not triangular"
-            )
+                context=(
+                    f"equation for y_{index} is not triangular "
+                    f"(n={n}, m={system.m}): it holds y_{exc.index}"
+                )
+            ) from exc
         try:
             integral = antiderivative(rest)
         except NotTotalDerivativeError as exc:

@@ -129,24 +129,27 @@ class ResultCache:
         return path
 
     def entries(self) -> list:
+        """The keys whose entry files exist, sorted.  A name counts only
+        when ``entry_path`` writes exactly it, so ``(03_4).json`` or one
+        with non-ASCII digits is not an entry."""
         if not self.version_dir.is_dir():
             return []
         keys = []
         for name in os.listdir(self.version_dir):
             match = _ENTRY_RE.match(name)
             if match:
-                keys.append((int(match.group(1)), int(match.group(2))))
+                key = (int(match.group(1)), int(match.group(2)))
+                if self.entry_path(*key).name == name:
+                    keys.append(key)
         return sorted(keys)
 
     def clear(self) -> int:
+        """Remove the files of ``entries()``; the count removed."""
         removed = 0
-        if not self.version_dir.is_dir():
-            return removed
-        for name in os.listdir(self.version_dir):
-            if _ENTRY_RE.match(name):
-                try:
-                    os.unlink(self.version_dir / name)
-                    removed += 1
-                except OSError:
-                    pass
+        for key in self.entries():
+            try:
+                os.unlink(self.entry_path(*key))
+                removed += 1
+            except OSError:
+                pass
         return removed

@@ -88,13 +88,6 @@ def gd_equations(n: int, m: int, with_constants: bool = True, cache=None) -> lis
     return equations
 
 
-def stationary_equations(
-    n: int, m: int, with_constants: bool = True, cache=None
-) -> list:
-    """Right-hand sides of the level-m flows, read as constraints rhs = 0."""
-    return [eq.rhs for eq in gd_equations(n, m, with_constants, cache=cache)]
-
-
 def kdv_sequence(count: int) -> list:
     """[kdv_0 .. kdv_count] with kdv_0 = u_2' and kdv_k = R(kdv_{k-1}).
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Iterable, Mapping
 
-from ._ratio import Rational
 from .polynomials import (
     DiffPolynomial,
     NotHomogeneousError,
@@ -132,12 +131,6 @@ class DiffOperator:
 
     def __neg__(self) -> "DiffOperator":
         return DiffOperator({i: -c for i, c in self._coeffs.items()})
-
-    def scale(self, scalar) -> "DiffOperator":
-        cc = Rational(scalar)
-        if not cc:
-            return DiffOperator.zero()
-        return DiffOperator({i: c * cc for i, c in self._coeffs.items()})
 
     def __mul__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):

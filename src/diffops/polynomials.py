@@ -15,8 +15,8 @@ zero, and the zero polynomial has ``den == 1``.  So two polynomials are
 equal exactly when their numerator dicts and denominators are, and every
 hot loop (products, derivation, substitution) runs on Python ints.
 Rationals (``fractions.Fraction``) appear only at the boundary:
-``items()``, ``coefficient()``, ``from_dict``, the rational constructor
-and scalar arguments.
+``items()``, ``coefficient()``, the rational constructor and scalar
+arguments.
 
 Monomial keys.  A key is a monomial's packed exponent vector, one int.  A
 process-wide slot table gives each variable, the first time any monomial
@@ -35,11 +35,11 @@ blocks of their own, so the keys of the long-lived u-monomials stay short
 (an int's size is that of its highest field).  The table only grows, by
 one slot per distinct variable; it is the one state of this module that
 outlives a call.  Only this module builds or takes keys apart: ``items()``,
-``coefficient()``, ``sorted_terms()``, ``from_dict``, the constructors
-and pickles speak the canonical form of a monomial, a tuple of
-``(VarId, exp)`` pairs sorted by VarId, with no zero exponent (``()`` is
-the monomial 1).  So slot numbers never reach an output, and no result
-depends on the order in which variables were first met.
+``coefficient()``, ``sorted_terms()``, the constructors and pickles speak
+the canonical form of a monomial, a tuple of ``(VarId, exp)`` pairs
+sorted by VarId, with no zero exponent (``()`` is the monomial 1).  So
+slot numbers never reach an output, and no result depends on the order
+in which variables were first met.
 
 A polynomial may also carry ``_derivs``, its derivative chain
 ``[nums, nums', nums'', ...]`` as numerator dicts.  It is None until
@@ -126,19 +126,6 @@ def c_id(m: int, j: int) -> VarId:
 # The canonical form of a monomial: a tuple of (VarId, exponent) pairs,
 # sorted by VarId, exponents > 0.  The empty tuple is the monomial 1.
 Mono = tuple
-
-
-def _mono_weight(mono: Mono) -> int:
-    w = 0
-    for vid, exp in mono:
-        if vid[0] != C_FAMILY:
-            w += (vid[1] + vid[2]) * exp
-    return w
-
-
-def mono_sort_key(mono: Mono):
-    """Graded by weight (descending), ties broken lexicographically."""
-    return (-_mono_weight(mono), mono)
 
 
 # -- packed monomial keys (see the module docstring) --------------------------
@@ -398,9 +385,9 @@ class DiffPolynomial:
 
     def __init__(self, terms: Mapping | None = None):
         """sum c * mono over ``terms``, which maps monomials, as (VarId,
-        exp) pairs in any order, to ints or Fractions; zero coefficients are
-        dropped and monomials that are equal add up."""
-        terms = terms or {}
+        exp) pairs in any order, to anything ``Rational`` accepts; zero
+        coefficients are dropped and monomials that are equal add up."""
+        terms = {mono: Rational(c) for mono, c in (terms or {}).items()}
         den = lcm(*(c.denominator for c in terms.values()))
         nums: dict = {}
         for mono, c in terms.items():
@@ -440,12 +427,6 @@ class DiffPolynomial:
     def variable(cls, vid: VarId) -> "DiffPolynomial":
         return cls.from_nums({_factor_key(vid, 1): 1}, 1)
 
-    @classmethod
-    def from_dict(cls, terms: Mapping) -> "DiffPolynomial":
-        """Monomials in any order, coefficients as anything ``Rational``
-        accepts; repeated monomials add up."""
-        return cls({mono: Rational(coeff) for mono, coeff in terms.items()})
-
     # -- queries ------------------------------------------------------
 
     def items(self) -> Iterator:
@@ -454,10 +435,11 @@ class DiffPolynomial:
         return ((_mono(m), Rational(c, den)) for m, c in self._nums.items())
 
     def sorted_terms(self, factor_str: Callable) -> list:
-        """[(factors, num, den)] in canonical order (``mono_sort_key``), each
-        num/den in lowest terms; ``factors`` lists ``factor_str(vid, exp)``
-        of the monomial's factors.  ``factor_str`` is called once per
-        distinct factor, so terms that share a factor share its value."""
+        """[(factors, num, den)] in canonical order (weight descending, then
+        the canonical monomials ascending), each num/den in lowest terms;
+        ``factors`` lists ``factor_str(vid, exp)`` of the monomial's factors.
+        ``factor_str`` is called once per distinct factor, so terms that
+        share a factor share its value."""
         nums = self._nums
         # A factor v^e sorts by its code rank(v) << _W | e, which orders as
         # the pair (v, e) does; rank(v) is v's place among the variables

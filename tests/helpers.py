@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
 
 from diffops._ratio import Rational
+from diffops.basis import BracketSystem
 from diffops.integration import antiderivative, euler
 from diffops.operators import DiffOperator
-from diffops.polynomials import DiffPolynomial, mono_sort_key, u_id
+from diffops.polynomials import DiffPolynomial, u_id
+
+
+def mono_sort_key(mono: tuple):
+    """The reference canonical order of monomials, as (VarId, exp) tuples:
+    weight descending, ties broken lexicographically."""
+    weight = sum(vid.weight() * exp for vid, exp in mono)
+    return (-weight, mono)
+
+
+def with_equation(system: BracketSystem, index: int, extra) -> BracketSystem:
+    """``system`` with ``extra`` added to the equation for y_index."""
+    equations = list(system.equations)
+    equations[index - 2] = equations[index - 2] + extra
+    return dataclasses.replace(system, equations=tuple(equations))
 
 
 def rand_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Rational:

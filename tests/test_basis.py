@@ -15,11 +15,11 @@ from diffops.basis import (
     generic_P,
     solve_triangular,
 )
-from diffops.integration import euler
+from diffops.integration import NotTotalDerivativeError, euler
 from diffops.operators import DiffOperator, commutator
 from diffops.polynomials import Y_FAMILY, u, y
 from diffops.pseudo import TruncatedPDO, nth_root
-from helpers import check_total_derivative
+from helpers import check_total_derivative, with_equation
 
 D = DiffOperator.d
 
@@ -161,6 +161,21 @@ class TestSolveTriangular:
 
         solve_triangular(bracket_system(3, 4), on_step=check)
         assert seen == [2, 3, 4]
+
+    def test_stray_y_is_not_triangular(self):
+        system = with_equation(bracket_system(3, 5), 3, y(4))
+        with pytest.raises(NotTotalDerivativeError) as info:
+            solve_triangular(system)
+        message = str(info.value)
+        assert "equation for y_3 is not triangular (n=3, m=5): it holds y_4" in message
+        assert info.value.obstruction is None
+
+    def test_integrand_that_is_no_total_derivative_fails_loudly(self):
+        system = with_equation(bracket_system(3, 5), 3, u(2) ** 2)
+        with pytest.raises(NotTotalDerivativeError) as info:
+            solve_triangular(system)
+        assert "failed integrating the equation for y_3 (n=3, m=5)" in str(info.value)
+        assert info.value.obstruction == u(2) ** 2
 
 
 class TestAlmostCommuting:

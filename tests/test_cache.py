@@ -425,6 +425,20 @@ def test_entries_and_clear(tmp_path):
     assert cache.entries() == []
 
 
+def test_entries_skip_names_that_entry_path_never_writes(tmp_path):
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    # a second spelling of (3, 4), and (3, 5) in Arabic-Indic digits
+    strays = [cache.version_dir / "(03_4).json", cache.version_dir / "(\u0663_5).json"]
+    for stray in strays:
+        stray.write_bytes(cache.entry_path(3, 4).read_bytes())
+    assert cache.get(3, 5) is None
+    assert cache.entries() == [(3, 4)]
+    assert cache.clear() == 1
+    assert cache.entries() == []
+    assert all(stray.exists() for stray in strays)
+
+
 def test_version_directory_layout(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(3, 2, almost_commuting(3, 2))

@@ -12,7 +12,8 @@ import pytest
 from diffops.cache import CACHE_ENV_VAR, ResultCache
 from diffops.cli import main
 from diffops.formats import operator_from_json, poly_from_json
-from diffops.polynomials import DiffPolynomial, u
+from diffops.polynomials import DiffPolynomial, u, y
+from helpers import with_equation
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +220,16 @@ class TestCacheCommand:
         assert run("cache", "list") == 0
         assert capsys.readouterr().out.strip() == ""
 
+    def test_list_prints_each_key_once(self, capsys, tmp_path):
+        assert run("basis", "--n", "3", "--m", "4", "--out", str(tmp_path), "--quiet") == 0
+        cache = ResultCache()
+        entry = cache.entry_path(3, 4).read_bytes()
+        # names that entry_path never writes, one a second spelling of (3, 4)
+        for stray in ("(03_4).json", "(\u0663_5).json"):
+            (cache.version_dir / stray).write_bytes(entry)
+        assert run("cache", "list") == 0
+        assert capsys.readouterr().out == "(3_4)\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -236,3 +247,17 @@ class TestExitCodes:
         blocker.write_text("occupied")
         code = run("basis", "--n", "3", "--m", "2", "--out", str(blocker / "sub"))
         assert code == 2
+
+    def test_non_triangular_system_is_a_computation_failure(self, tmp_path, capsys, monkeypatch):
+        import diffops.basis as basis_module
+
+        build = basis_module.bracket_system
+        monkeypatch.setattr(
+            basis_module, "bracket_system", lambda n, m: with_equation(build(n, m), 2, y(3))
+        )
+        out = tmp_path / "out"
+        assert run("basis", "--n", "3", "--m", "4", "--out", str(out), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "computation failed" in err
+        assert "equation for y_2 is not triangular (n=3, m=4): it holds y_3" in err
+        assert not out.exists()

@@ -7,12 +7,7 @@ import pytest
 import golden
 from diffops._ratio import Rational as Q
 from diffops.basis import almost_commuting
-from diffops.hierarchy import (
-    gd_equations,
-    kdv_recursion_operator,
-    kdv_sequence,
-    stationary_equations,
-)
+from diffops.hierarchy import gd_equations, kdv_recursion_operator, kdv_sequence
 from diffops.integration import NotTotalDerivativeError, antiderivative
 from diffops.polynomials import DiffPolynomial, c, u
 from helpers import flip_u_sign
@@ -89,21 +84,21 @@ class TestFlowEquations:
 
 class TestStationary:
     def test_divisible_level_is_trivial(self):
-        assert all(p.is_zero() for p in stationary_equations(3, 3, with_constants=False))
+        assert all(eq.rhs.is_zero() for eq in gd_equations(3, 3, with_constants=False))
 
     def test_kdv_level_3(self):
-        polys = stationary_equations(2, 3, with_constants=False)
+        polys = [eq.rhs for eq in gd_equations(2, 3, with_constants=False)]
         assert polys == [golden.H_3_0_N2]
 
     def test_level_2_polynomials(self):
-        polys = stationary_equations(3, 2, with_constants=False)
+        polys = [eq.rhs for eq in gd_equations(3, 2, with_constants=False)]
         assert polys == [
             -u(2, 2) + 2 * u(3, 1),
             u(3, 2) - Q(2, 3) * u(2, 3) - Q(2, 3) * u(2) * u(2, 1),
         ]
 
     def test_with_constants_keeps_formal_parameters(self):
-        polys = stationary_equations(2, 3, with_constants=True)
+        polys = [eq.rhs for eq in gd_equations(2, 3, with_constants=True)]
         assert len(polys) == 1
         assert polys[0] == golden.H_3_0_N2 + c(3, 1) * u(2, 1)
 
