@@ -5,8 +5,8 @@ independent truncated pseudo-differential oracle."""
 from .basis import (
     AlmostCommutingResult,
     BracketSystem,
+    NotTriangularError,
     almost_commuting,
-    almost_commuting_basis,
     bracket_system,
     generic_L,
     generic_P,
@@ -56,12 +56,12 @@ __all__ = [
     "InsufficientDepthError",
     "NotHomogeneousError",
     "NotTotalDerivativeError",
+    "NotTriangularError",
     "RecursionOperator",
     "ResultCache",
     "TruncatedPDO",
     "VarId",
     "almost_commuting",
-    "almost_commuting_basis",
     "antiderivative",
     "bracket_system",
     "c",

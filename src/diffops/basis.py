@@ -50,6 +50,10 @@ def generic_P(m: int) -> DiffOperator:
     return DiffOperator.from_dict(coeffs)
 
 
+class NotTriangularError(ValueError):
+    """An equation of the bracket system holds a y that is not yet solved."""
+
+
 @dataclass(frozen=True)
 class BracketSystem:
     """[L, P~_m] together with the equations that force almost commuting.
@@ -96,8 +100,9 @@ def solve_triangular(
     (y_2 first); each step strips the n*y_i' head, substitutes the
     solution found so far and integrates the remainder in closed form.
     The remainder is guaranteed to be free of y's and a total derivative;
-    a y left over or a failing integration therefore signals an internal
-    inconsistency and surfaces as NotTotalDerivativeError with diagnostics.
+    a y left over (NotTriangularError) or a failing integration
+    (NotTotalDerivativeError) therefore signals an internal inconsistency,
+    and the error names the equation, n and m.
     """
     n = system.n
     assignments: dict = {}
@@ -106,11 +111,9 @@ def solve_triangular(
         try:
             rest = (equation - n * y(index, 1)).evaluate(assignments)
         except IncompleteSolutionError as exc:
-            raise NotTotalDerivativeError(
-                context=(
-                    f"equation for y_{index} is not triangular "
-                    f"(n={n}, m={system.m}): it holds y_{exc.index}"
-                )
+            raise NotTriangularError(
+                f"equation for y_{index} is not triangular "
+                f"(n={n}, m={system.m}): it holds y_{exc.index}"
             ) from exc
         try:
             integral = antiderivative(rest)
@@ -159,8 +162,3 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
     if cache is not None:
         cache.put(n, m, result)
     return result
-
-
-def almost_commuting_basis(n: int, max_m: int, cache=None) -> list:
-    """[P_1 .. P_max_m] with hierarchy polynomials, one almost_commuting call each."""
-    return [almost_commuting(n, m, cache=cache) for m in range(1, max_m + 1)]

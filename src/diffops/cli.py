@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .basis import almost_commuting, generic_L
+from .basis import NotTriangularError, almost_commuting, generic_L
 from .cache import CACHE_ENV_VAR, ResultCache
 from .formats import (
     json_object_text,
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotTotalDerivativeError, InsufficientDepthError) as exc:
+    except (NotTotalDerivativeError, NotTriangularError, InsufficientDepthError) as exc:
         print(f"diffops: computation failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -186,7 +186,7 @@ def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
 
 
 def operator_to_json(op: DiffOperator) -> dict:
-    if op.is_zero():
+    if not op:
         return {"order": None, "coefficients": []}
     return {
         "order": op.order,

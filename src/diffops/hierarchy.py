@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._ratio import Rational
-from .basis import almost_commuting, almost_commuting_basis
+from .basis import almost_commuting
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator
 from .polynomials import DiffPolynomial, c, u
@@ -72,10 +72,8 @@ def gd_equations(n: int, m: int, with_constants: bool = True, cache=None) -> lis
     """
     if n < 2 or m < 2:
         raise ValueError("hierarchy levels need n >= 2 and m >= 2")
-    if with_constants:
-        results = almost_commuting_basis(n, m, cache=cache)
-    else:  # only P_m is read
-        results = [almost_commuting(n, m, cache=cache)]
+    levels = range(1, m + 1) if with_constants else [m]
+    results = [almost_commuting(n, level, cache=cache) for level in levels]
     equations = []
     for i in range(2, n + 1):
         rhs = results[-1].H[n - i]

@@ -141,7 +141,7 @@ def antiderivative(f: DiffPolynomial) -> DiffPolynomial:
     result is the unique homogeneous antiderivative.
     """
     dec = decompose(f)
-    if not dec.obstruction.is_zero():
+    if dec.obstruction:
         raise NotTotalDerivativeError(dec.obstruction)
     return dec.antiderivative
 

@@ -79,9 +79,6 @@ class DiffOperator:
         """Order of the operator; -inf for the zero operator."""
         return next(reversed(self._coeffs)) if self._coeffs else NEG_INFINITY
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -97,12 +94,13 @@ class DiffOperator:
             raise ValueError("the zero operator has no leading coefficient")
         return self._coeffs[self.order]
 
-    def is_monic(self) -> bool:
-        return bool(self._coeffs) and self.leading_coefficient() == _ONE_POLY
-
     def is_normal_form(self) -> bool:
         """Monic with zero coefficient in degree order-1."""
-        return self.is_monic() and self.order - 1 not in self._coeffs
+        return (
+            bool(self._coeffs)
+            and self.leading_coefficient() == _ONE_POLY
+            and self.order - 1 not in self._coeffs
+        )
 
     def weight(self) -> int | None:
         """``operator_weight`` of the coefficients; None for the zero operator."""
@@ -122,7 +120,10 @@ class DiffOperator:
     def __add__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return DiffOperator(_add_coeffs(self._coeffs, other._coeffs))
+        out = dict(self._coeffs)
+        for p, coeff in other._coeffs.items():
+            out[p] = out[p] + coeff if p in out else coeff
+        return DiffOperator(_ascending(out))
 
     def __sub__(self, other) -> "DiffOperator":
         if not isinstance(other, DiffOperator):
@@ -173,14 +174,6 @@ def _ascending(terms: Mapping[int, DiffPolynomial]) -> dict:
     return {p: terms[p] for p in sorted(terms) if terms[p]}
 
 
-def _add_coeffs(a: Mapping[int, DiffPolynomial], b: Mapping[int, DiffPolynomial]) -> dict:
-    """The sum of two ``{power: coefficient}`` maps, ``_ascending``."""
-    out = dict(a)
-    for p, coeff in b.items():
-        out[p] = out[p] + coeff if p in out else coeff
-    return _ascending(out)
-
-
 def _as_poly(value) -> DiffPolynomial:
     return value if isinstance(value, DiffPolynomial) else DiffPolynomial.constant(value)
 
@@ -196,16 +189,14 @@ def render_terms(
     times: str,
     parens: tuple,
 ) -> str:
-    """The signed sum of ``{power: coefficient}``, highest power first.
+    """The signed sum of ``{power: nonzero coefficient}``, highest power first.
 
-    Zero coefficients are skipped, unit coefficients of d-powers elided and
-    multi-term ones wrapped in ``parens``.
+    Unit coefficients of d-powers are elided and multi-term ones wrapped in
+    ``parens``.
     """
     parts = []
     for power in sorted(terms, reverse=True):
         coeff = terms[power]
-        if not coeff:
-            continue
         if power == 0:
             body = poly_str(coeff)
         elif coeff == _ONE_POLY:

@@ -477,9 +477,6 @@ class DiffPolynomial:
             rows[i] = (list(map(rendered.__getitem__, codes)), num // g, den // g)
         return rows
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -780,7 +777,7 @@ def render_sum(
     ``factor_str(vid, exp)`` one factor of a monomial (once per distinct
     factor, through ``sorted_terms``), and ``sep`` joins the factors.
     """
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for texts, num, den in p.sorted_terms(factor_str):

@@ -19,7 +19,6 @@ from .operators import (
     _ONE_POLY,
     _ZERO_POLY,
     DiffOperator,
-    _add_coeffs,
     _d_text,
     leibniz_product,
     operator_weight,
@@ -51,7 +50,7 @@ class TruncatedPDO:
     ):
         if low > top:
             raise ValueError("low power exceeds top power")
-        self._coeffs = {p: c for p, c in coeffs.items() if not c.is_zero()}
+        self._coeffs = {p: c for p, c in coeffs.items() if c}
         if any(p < low or p > top for p in self._coeffs):
             raise ValueError("coefficient outside the retained range")
         self._top = top
@@ -62,7 +61,7 @@ class TruncatedPDO:
 
     @classmethod
     def from_operator(cls, op: DiffOperator) -> "TruncatedPDO":
-        if op.is_zero():
+        if not op:
             return cls({}, top=0, low=0, exact_tail=True)
         return cls(op._coeffs, top=op.order, low=0, exact_tail=True)
 
@@ -109,29 +108,6 @@ class TruncatedPDO:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "TruncatedPDO") -> "TruncatedPDO":
-        if not isinstance(other, TruncatedPDO):
-            return NotImplemented
-        low = max(self._low, other._low)
-        if self._exact_tail and other._exact_tail:
-            low = min(self._low, other._low)
-        exact = self._exact_tail and other._exact_tail
-        out = {p: c for p, c in _add_coeffs(self._coeffs, other._coeffs).items() if p >= low}
-        return TruncatedPDO(out, top=max(self._top, other._top), low=low, exact_tail=exact)
-
-    def __neg__(self) -> "TruncatedPDO":
-        return TruncatedPDO(
-            {p: -c for p, c in self._coeffs.items()},
-            top=self._top,
-            low=self._low,
-            exact_tail=self._exact_tail,
-        )
-
-    def __sub__(self, other: "TruncatedPDO") -> "TruncatedPDO":
-        if not isinstance(other, TruncatedPDO):
-            return NotImplemented
-        return self + (-other)
-
     def mul_keep_low(self, other: "TruncatedPDO", keep_low: int) -> "TruncatedPDO":
         """Product truncated at ``keep_low``; retained coefficients exact.
 
@@ -159,7 +135,7 @@ class TruncatedPDO:
             if self._low >= 0:
                 exact = keep_low <= other._low
             elif keep_low <= self._low + other._low:
-                exact = all(c.derive().is_zero() for c in other._coeffs.values())
+                exact = not any(c.derive() for c in other._coeffs.values())
         return TruncatedPDO(coeffs, top=top, low=min(keep_low, top), exact_tail=exact)
 
     def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":
@@ -223,6 +199,6 @@ def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
         acc = known.power(n, t + 1 - n)
         mismatch = op.coefficient_at(target) - acc.coefficient_at(target)
         q_t = mismatch / n
-        if not q_t.is_zero():
+        if q_t:
             found[-t] = q_t
     return TruncatedPDO(found, top=1, low=-depth, exact_tail=False)

@@ -14,7 +14,6 @@ import golden
 from diffops._ratio import Rational as Q
 from diffops.basis import (
     almost_commuting,
-    almost_commuting_basis,
     bracket_system,
     generic_L,
     solve_triangular,
@@ -33,7 +32,7 @@ def report(number: int, message: str) -> None:
 
 def test_criterion_1_golden_basis_n3():
     t0 = time.perf_counter()
-    basis = almost_commuting_basis(3, 5)
+    basis = [almost_commuting(3, m) for m in range(1, 6)]
     elapsed = time.perf_counter() - t0
     for m, result in enumerate(basis, start=1):
         assert result.P == golden.GOLDEN_P[m], f"P_{m} mismatch"
@@ -68,7 +67,7 @@ def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     equalities = 0
     for n in (2, 3, 4, 5):
-        basis = almost_commuting_basis(n, 9)
+        basis = [almost_commuting(n, m) for m in range(1, 10)]
         root = nth_root(generic_L(n), 8)
         q_power = root
         for m in range(1, 10):
@@ -91,7 +90,7 @@ def test_criterion_4_divisibility():
     for n, m in cases:
         result = almost_commuting(n, m)
         assert result.P == generic_L(n) ** (m // n), (n, m)
-        assert all(h.is_zero() for h in result.H), (n, m)
+        assert not any(result.H), (n, m)
     report(4, f"P_m = L^(m/n) with vanishing H on {cases}")
 
 
@@ -105,7 +104,7 @@ def test_criterion_5_homogeneity():
             result = almost_commuting(n, m)
             assert result.P.weight() == m, (n, m)
             for i, h in enumerate(result.H):
-                if not h.is_zero():
+                if h:
                     assert h.weight() == n + m - i, (n, m, i)
     report(5, "weights: P_m = m, H_(m,i) = n+m-i, q_i = i for n in {2,3,5,7}, m <= 10")
 
@@ -172,7 +171,7 @@ def test_criterion_8_structural_properties():
             assert power.coefficient_at(p) == expected.coefficient_at(p), (n, p)
     q3 = nth_root(generic_L(3), 2)
     assert q3.coefficient_at(1) == u(2) ** 0
-    assert q3.coefficient_at(0).is_zero()
+    assert not q3.coefficient_at(0)
     assert q3.coefficient_at(-1) == Q(1, 3) * u(2)
     assert q3.coefficient_at(-2) == Q(1, 3) * (u(3) - u(2, 1))
     report(8, "commutator bounds on 200 pairs, Q^n = L at depth 10, cube-root expansion")

@@ -8,8 +8,8 @@ import golden
 from diffops import polynomials
 from diffops._ratio import Rational as Q
 from diffops.basis import (
+    NotTriangularError,
     almost_commuting,
-    almost_commuting_basis,
     bracket_system,
     generic_L,
     generic_P,
@@ -146,7 +146,7 @@ class TestSolveTriangular:
             system = bracket_system(n, m)
             solution = solve_triangular(system)
             for equation in system.equations:
-                assert equation.evaluate(solution).is_zero()
+                assert not equation.evaluate(solution)
             # the same band d^(n-1)..d^(n+m-3), substituted with one shared table
             assert system.full_bracket.evaluate(solution).order <= n - 2, (n, m)
 
@@ -164,11 +164,11 @@ class TestSolveTriangular:
 
     def test_stray_y_is_not_triangular(self):
         system = with_equation(bracket_system(3, 5), 3, y(4))
-        with pytest.raises(NotTotalDerivativeError) as info:
+        with pytest.raises(NotTriangularError) as info:
             solve_triangular(system)
         message = str(info.value)
         assert "equation for y_3 is not triangular (n=3, m=5): it holds y_4" in message
-        assert info.value.obstruction is None
+        assert "not a total derivative" not in message
 
     def test_integrand_that_is_no_total_derivative_fails_loudly(self):
         system = with_equation(bracket_system(3, 5), 3, u(2) ** 2)
@@ -219,7 +219,7 @@ class TestAlmostCommuting:
         for n, m in ((2, 2), (2, 4), (3, 3), (3, 6), (4, 4)):
             result = almost_commuting(n, m)
             assert result.P == generic_L(n) ** (m // n)
-            assert all(h.is_zero() for h in result.H)
+            assert not any(result.H)
 
     def test_top_h_is_a_total_derivative(self):
         # H_(m,n-2) = n (res Q^m)', so every Euler operator kills it; the
@@ -228,7 +228,7 @@ class TestAlmostCommuting:
             for m in range(1, 10):
                 top = almost_commuting(n, m).H[n - 2]
                 for l in range(2, n + 1):
-                    assert euler(top, l).is_zero(), (n, m, l)
+                    assert not euler(top, l), (n, m, l)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -239,24 +239,25 @@ class TestAlmostCommuting:
 
 class TestBasis:
     def test_matches_single_calls(self):
-        basis = almost_commuting_basis(3, 5)
+        # one call per m, in either order, gives the same results
+        basis = [almost_commuting(3, m) for m in range(1, 6)]
         assert len(basis) == 5
-        for m, result in enumerate(basis, start=1):
+        for m, result in reversed(list(enumerate(basis, start=1))):
             single = almost_commuting(3, m)
             assert result.P == single.P
             assert result.H == single.H
 
     def test_golden_sequence(self):
-        basis = almost_commuting_basis(3, 5)
+        basis = [almost_commuting(3, m) for m in range(1, 6)]
         for m, result in enumerate(basis, start=1):
             assert result.P == golden.GOLDEN_P[m]
 
     def test_n_2_basis(self):
-        basis = almost_commuting_basis(2, 2)
+        basis = [almost_commuting(2, m) for m in range(1, 3)]
         assert basis[1].P == generic_L(2)
 
     def test_orders_ascend(self):
-        basis = almost_commuting_basis(4, 6)
+        basis = [almost_commuting(4, m) for m in range(1, 7)]
         assert [r.P.order for r in basis] == list(range(1, 7))
 
 
@@ -309,9 +310,12 @@ class TestHierarchyOracle:
                 low=-n,
                 exact_tail=True,
             )
-            bracket = as_pdo.mul_keep_low(minus, 0) - minus.mul_keep_low(as_pdo, 0)
+            bracket = (
+                as_pdo.mul_keep_low(minus, 0).positive_part()
+                - minus.mul_keep_low(as_pdo, 0).positive_part()
+            )
             H = almost_commuting(n, m).H
             for i in range(n - 1):
                 assert bracket.coefficient_at(i) == H[i], (n, m, i)
             for power in (n - 1, n):
-                assert bracket.coefficient_at(power).is_zero(), (n, m, power)
+                assert not bracket.coefficient_at(power), (n, m, power)

@@ -62,7 +62,7 @@ class TestJson:
     def test_zero_operator(self):
         data = operator_to_json(DiffOperator.zero())
         assert data == {"order": None, "coefficients": []}
-        assert operator_from_json(data).is_zero()
+        assert not operator_from_json(data)
 
     def test_result_round_trip(self):
         result = almost_commuting(3, 4)
@@ -139,7 +139,7 @@ class TestJsonWriter:
             DiffOperator.one(),
             DiffOperator.from_dict({3: u(2), 1: c(4, 1) * u(3, 10) ** 12}),
         ]
-        assert any(op.coefficient_at(1).is_zero() for op in ops[:10])
+        assert not all(op.coefficient_at(1) for op in ops[:10])
         for op in ops:
             assert render_operator(op, "json") == json.dumps(operator_to_json(op), indent=2)
 

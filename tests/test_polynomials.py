@@ -37,7 +37,7 @@ HALF = Rational(1, 2)
 
 class TestArithmetic:
     def test_additive_inverse(self):
-        assert (u(2) + (-1) * u(2)).is_zero()
+        assert not (u(2) + (-1) * u(2))
 
     def test_square(self):
         assert u(2) * u(2) == u(2) ** 2
@@ -48,7 +48,7 @@ class TestArithmetic:
 
     def test_scalar_and_constant_mixing(self):
         p = 3 * u(2) - u(2) - u(2) - u(2)
-        assert p.is_zero()
+        assert not p
         assert (u(2) + 1) - 1 == u(2)
 
     def test_ring_axioms_random(self):
@@ -63,7 +63,7 @@ class TestArithmetic:
             assert (p * q) * r == p * (q * r)
             assert p * (q + r) == p * q + p * r
             assert p + DiffPolynomial.zero() == p
-            assert (p - p).is_zero()
+            assert not (p - p)
 
     def test_pow_matches_repeated_product(self):
         rng = random.Random(7)
@@ -80,7 +80,7 @@ class TestDerivation:
         assert (u(2) * u(3)).derive() == u(2, 1) * u(3) + u(2) * u(3, 1)
 
     def test_constants_killed(self):
-        assert c(2, 1).derive().is_zero()
+        assert not c(2, 1).derive()
         assert (c(4, 2) * u(2)).derive() == c(4, 2) * u(2, 1)
 
     def test_iterated(self):
@@ -125,7 +125,7 @@ class TestWeight:
 class TestEvaluate:
     def test_bracket_equation_solution(self):
         equation = 3 * y(2, 1) - 2 * u(2, 1)
-        assert equation.evaluate({2: Rational(2, 3) * u(2)}).is_zero()
+        assert not equation.evaluate({2: Rational(2, 3) * u(2)})
 
     def test_derivatives_of_assignment(self):
         assert y(2, 2).evaluate({2: u(3)}) == u(3, 2)

@@ -77,7 +77,7 @@ class TestNthRoot:
         # Q = d + 1/3 u2 d^{-1} + 1/3 (u3 - u2') d^{-2} + ...
         q = nth_root(L(3), 2)
         assert q.coefficient_at(1) == ONE
-        assert q.coefficient_at(0).is_zero()
+        assert not q.coefficient_at(0)
         assert q.coefficient_at(-1) == THIRD * u(2)
         assert q.coefficient_at(-2) == THIRD * (u(3) - u(2, 1))
 
@@ -91,7 +91,7 @@ class TestNthRoot:
             q = nth_root(DiffOperator.d(n), 4)
             assert q.coefficient_at(1) == ONE
             for power in range(-4, 1):
-                assert q.coefficient_at(power).is_zero()
+                assert not q.coefficient_at(power)
 
     def test_cube_reproduces_operator(self):
         q = nth_root(L(3), 4)
@@ -112,7 +112,7 @@ class TestNthRoot:
         q = nth_root(L(5), 6)
         for j in range(1, 7):
             coeff = q.coefficient_at(-j)
-            if not coeff.is_zero():
+            if coeff:
                 assert coeff.weight() == j + 1
         assert q.weight() == 1
 
@@ -201,7 +201,12 @@ class TestPositivePart:
 
     def test_of_negative_tail_is_zero(self):
         tail = TruncatedPDO({-1: u(2)}, top=-1, low=-1, exact_tail=True)
-        assert tail.positive_part().is_zero()
+        assert not tail.positive_part()
+
+    def test_zero_operator_is_exact(self):
+        zero = as_pdo(DiffOperator.zero())
+        assert (zero.top, zero.low, zero.exact_tail) == (0, 0, True)
+        assert not zero.positive_part()
 
     def test_truncation_flag_round_trip(self):
         q = nth_root(L(2), 3)
@@ -210,16 +215,51 @@ class TestPositivePart:
         assert exact.exact_tail and exact.depth == 0
 
 
-class TestAddition:
-    def test_difference_of_equal_truncations_vanishes(self):
-        q = nth_root(L(3), 3)
-        delta = q - q
-        assert all(delta.coefficient_at(p).is_zero() for p in range(-3, 2))
-
+class TestLoudFailures:
     def test_insufficient_depth_error_message(self):
         q = nth_root(L(3), 1)
         with pytest.raises(InsufficientDepthError):
             q.mul_keep_low(q, -3)
+
+    def test_coefficient_below_truncation(self):
+        with pytest.raises(InsufficientDepthError, match=r"d\^-3 was discarded"):
+            nth_root(L(3), 2).coefficient_at(-3)
+
+    def test_shallow_right_factor(self):
+        with pytest.raises(InsufficientDepthError, match=r"right factor retained to d\^-1"):
+            as_pdo(L(3)).mul_keep_low(nth_root(L(3), 1), -3)
+
+    def test_positive_part_not_retained(self):
+        truncated = TruncatedPDO({2: u(2)}, top=2, low=1)
+        with pytest.raises(InsufficientDepthError, match="positive part not fully retained"):
+            truncated.positive_part()
+
+    def test_low_above_top(self):
+        with pytest.raises(ValueError, match="low power exceeds top power"):
+            TruncatedPDO({}, top=0, low=1)
+
+    def test_coefficient_outside_range(self):
+        with pytest.raises(ValueError, match="coefficient outside the retained range"):
+            TruncatedPDO({2: ONE}, top=1, low=-1)
+
+    def test_zeroth_power(self):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            nth_root(L(3), 2).power(0)
+
+    def test_negative_root_depth(self):
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            nth_root(L(3), -1)
+
+
+class TestEquality:
+    def test_roots_built_alike_are_equal(self):
+        assert nth_root(L(3), 3) == nth_root(L(3), 3)
+
+    def test_range_and_tail_flag_count(self):
+        pdo = TruncatedPDO({1: ONE}, top=1, low=-1)
+        assert pdo == TruncatedPDO({1: ONE}, top=1, low=-1)
+        assert pdo != TruncatedPDO({1: ONE}, top=1, low=-2)
+        assert pdo != TruncatedPDO({1: ONE}, top=1, low=-1, exact_tail=True)
 
 
 class TestRendering:
