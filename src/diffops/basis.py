@@ -18,6 +18,12 @@ substitution and one closed-form integration.  The solution y_l = q_l
 gives P_m = d^m + q_2 d^{m-2} + ... + q_m directly; substituting it into
 the low band of the bracket yields the hierarchy polynomials H_{m,i}
 defined by [P_m, L] = H_{m,0} + H_{m,1} d + ... + H_{m,n-2} d^{n-2}.
+
+All these substitutions, the m - 1 solve steps and then the low band, run
+as one stream with one derivative table per ``almost_commuting`` call.
+The table is trimmed after each polynomial to the orders that later ones
+use, and each step seeds it with q_l' = (integrand) / -n, so every
+q_l^{(k)} with k >= 2 is derived once per call and q_l' never.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Callable
 
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator, commutator
-from .polynomials import DiffPolynomial, IncompleteSolutionError, u, y
+from .polynomials import DiffPolynomial, IncompleteSolutionError, substitute, u, y
 
 
 def generic_L(n: int) -> DiffOperator:
@@ -93,8 +99,9 @@ def bracket_system(n: int, m: int) -> BracketSystem:
 def solve_triangular(
     system: BracketSystem,
     on_step: Callable[[int, DiffPolynomial, DiffPolynomial], None] | None = None,
-) -> dict:
-    """The unique weighted solution {i: q_i} of the bracket system.
+) -> tuple:
+    """``(solution, H)``: the unique weighted solution {i: q_i} of the
+    bracket system, and the hierarchy polynomials (H_0, ..., H_{n-2}).
 
     Equations are consumed in ascending order of the solved variable
     (y_2 first); each step strips the n*y_i' head, substitutes the
@@ -102,14 +109,30 @@ def solve_triangular(
     The remainder is guaranteed to be free of y's and a total derivative;
     a y left over (NotTriangularError) or a failing integration
     (NotTotalDerivativeError) therefore signals an internal inconsistency,
-    and the error names the equation, n and m.
+    and the error names the equation, n and m.  ``on_step(i, rest, q_i)``
+    sees each step's integrand and solved value.
+
+    One ``substitute`` stream serves the whole solve: the m - 1 integrands,
+    then the low band d^0..d^(n-2) of [L, P~_m], negated, since
+    [P_m, L] = -[L, P_m]; the band is negated rather than H because the
+    band is small and H is large.  So one derivative table, trimmed after
+    each polynomial to what later ones use, derives each q_l^(k) at most
+    once per call.  After integrating rest = d(A) the step assigns
+    q_i = A / -n and seeds the table with q_i' = rest / -n, so only the
+    orders k >= 2 of y_i are derived.
     """
     n = system.n
     assignments: dict = {}
-    for offset, equation in enumerate(system.equations):
-        index = offset + 2
+    derivatives: dict = {}
+    stream = substitute(
+        [equation - n * y(index, 1) for index, equation in enumerate(system.equations, 2)]
+        + [-system.full_bracket.coefficient_at(i) for i in range(n - 1)],
+        assignments,
+        derivatives,
+    )
+    for index in range(2, system.m + 1):
         try:
-            rest = (equation - n * y(index, 1)).evaluate(assignments)
+            rest = next(stream)
         except IncompleteSolutionError as exc:
             raise NotTriangularError(
                 f"equation for y_{index} is not triangular "
@@ -129,7 +152,8 @@ def solve_triangular(
         if on_step is not None:
             on_step(index, rest, q_index)
         assignments[index] = q_index
-    return assignments
+        derivatives[index] = rest / -n
+    return assignments, tuple(stream)
 
 
 def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
@@ -146,18 +170,14 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
         hit = cache.get(n, m)
         if hit is not None:
             return hit
-    system = bracket_system(n, m)
-    solution = solve_triangular(system)
-    # [P_m, L] = -[L, P_m]: H is the negated low band d^0..d^(n-2)
-    low_band = DiffOperator.from_coeffs(system.full_bracket.coefficients()[: n - 1])
-    H = -low_band.evaluate(solution)
+    solution, H = solve_triangular(bracket_system(n, m))
     result = AlmostCommutingResult(
         n=n,
         m=m,
         P=DiffOperator.from_dict(
             {m: DiffPolynomial.one(), **{m - l: q for l, q in solution.items()}}
         ),
-        H=tuple(H.coefficient_at(i) for i in range(n - 1)),
+        H=H,
     )
     if cache is not None:
         cache.put(n, m, result)

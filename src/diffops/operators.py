@@ -155,7 +155,8 @@ class DiffOperator:
     def evaluate(self, assignments: Mapping) -> "DiffOperator":
         """Coefficient-wise differential substitution of y-variables.
 
-        All coefficients share one derivative table (see ``substitute``).
+        All coefficients share one derivative table: one stream through
+        ``substitute``.
         """
         polys = substitute(list(self._coeffs.values()), assignments)
         return DiffOperator({i: c for i, c in zip(self._coeffs, polys) if c})

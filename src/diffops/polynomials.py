@@ -47,10 +47,11 @@ A polynomial may also carry ``_derivs``, its derivative chain
 as a right coefficient; only that function sets it, and the chain lives
 as long as the polynomial, so a right factor multiplied again is not
 derived again.
-``substitute`` keeps its own per-call table instead: its ``q_l`` are the
-long-lived solution polynomials, and chains kept on them would hold
-every ``q_l^{(k)}`` of a call alive after the call, where the table drops
-each one after the last polynomial that uses it.
+``substitute`` keeps its own table instead, one per stream of
+polynomials: its ``q_l`` are the long-lived solution polynomials, and
+chains kept on them would hold every ``q_l^{(k)}`` of a solve alive after
+the solve, where the table drops each one after the last polynomial of
+the stream that uses it.
 """
 
 from __future__ import annotations
@@ -589,11 +590,12 @@ class DiffPolynomial:
         """Differential substitution y_l^{(k)} -> derive(assignments[l], k).
 
         u- and c-variables pass through unchanged.  ``assignments`` maps
-        the integer index l of each y-variable to a DiffPolynomial, as
-        ``solve_triangular`` returns it.  The one-polynomial case of
-        ``substitute``.
+        the integer index l of each y-variable to a DiffPolynomial, as the
+        solution of ``solve_triangular``.  A stream of one polynomial
+        through ``substitute``, so its derivative table lives for this
+        call; the solve runs its own longer stream.
         """
-        return substitute((self,), assignments)[0]
+        return next(substitute((self,), assignments))
 
     def __reduce__(self):
         # a key means something only with this process's slot table, so a
@@ -628,7 +630,13 @@ def binary_power(base, exponent: int, one):
 
 
 def _normal_form(nums: dict, den: int) -> tuple:
-    """(nums, den) divided by gcd(den, *nums); den is 1 when nums is empty."""
+    """(nums, den) divided by gcd(den, *nums); den is 1 when nums is empty.
+
+    An empty ``nums`` becomes a fresh ``{}``: a dict emptied by
+    cancellation keeps its grown table, which a zero result would hold.
+    """
+    if not nums:
+        return {}, 1
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
@@ -637,24 +645,33 @@ def _normal_form(nums: dict, den: int) -> tuple:
     return nums, den
 
 
-def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> list:
-    """``p.evaluate(assignments)`` for every p of ``polys``, in one pass.
+def substitute(
+    polys: Sequence[DiffPolynomial],
+    assignments: Mapping,
+    derivatives: dict | None = None,
+) -> Iterator[DiffPolynomial]:
+    """Yield ``p.evaluate(assignments)`` for each p of ``polys`` in turn.
 
-    All polynomials share one derivative table that builds q_l^{(k)} from
-    q_l^{(k-1)}, so each (l, k) is derived at most once.  After each
+    The whole stream shares one derivative table that builds q_l^{(k)}
+    from q_l^{(k-1)}, so each (l, k) is derived at most once.  After each
     polynomial the table keeps q_l^{(k)} only up to the highest order of
     y_l that a later polynomial uses, and drops l when none does; it
-    lives for this call only.
+    lives as long as the stream.
+
+    ``assignments[l]`` is read only when a polynomial first needs y_l, so
+    the caller may add assignments between yields, as the triangular solve
+    does.  ``derivatives``, when given, maps l to q_l' where the caller
+    already knows it: the table takes (pops) it as the first link of
+    y_l's chain instead of deriving it.
     """
     y_fields = _FAMILY_FIELDS[Y_FAMILY]
-    # splits[i]: (key without y-factors, coeff, [VarId per y-factor]) for
-    # each monomial of polys[i]; keep[i]: l -> highest order of y_l in the
-    # polynomials after polys[i]
-    splits: list = []
-    keep: list = []
+    # pending, last polynomial first: (split, den, keep), where split has
+    # one (key without y-factors, coeff, [VarId per y-factor]) per monomial
+    # and keep maps l to the highest order of y_l in the later polynomials
+    pending: list = []
     later: dict = {}
     for poly in reversed(polys):
-        keep.append(dict(later))
+        keep = dict(later)
         split = []
         for key, coeff in poly._nums.items():
             ys = key & y_fields
@@ -665,26 +682,30 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> list:
                     later[vid.index] = vid.order
                 factors += [vid] * exp
             split.append((key - ys, coeff, factors))
-        splits.append(split)
-    splits.reverse()
-    keep.reverse()
-    table: dict = {}  # l -> [q_l, q_l', q_l'', ...] as numerator dicts
+        pending.append((split, poly._den, keep))
+    del polys  # the stream may be the only holder of the input list
+    table: dict = {}  # l -> [q_l, q_l', q_l'', ...] as (nums, den) pairs
 
     def replacement(vid) -> tuple:
-        derivs = table.get(vid.index)
-        if derivs is None:
+        links = table.get(vid.index)
+        if links is None:
             if vid.index not in assignments:
                 raise IncompleteSolutionError(vid.index)
-            derivs = table[vid.index] = [assignments[vid.index]._nums]
-        while len(derivs) <= vid.order:
-            derivs.append(_derive_raw(derivs[-1]))
-        return derivs[vid.order], assignments[vid.index]._den
+            q = assignments[vid.index]
+            links = table[vid.index] = [(q._nums, q._den)]
+            seed = derivatives.pop(vid.index, None) if derivatives else None
+            if seed is not None:
+                links.append((seed._nums, seed._den))
+        while len(links) <= vid.order:
+            nums, den = links[-1]
+            links.append((_derive_raw(nums), den))
+        return links[vid.order]
 
-    results = []
-    for i, poly in enumerate(polys):
+    while pending:
+        split, poly_den, keep = pending.pop()
         # each monomial's factors, and the product of their denominators
         rows = []
-        for head, coeff, ys in splits[i]:
+        for head, coeff, ys in split:
             factors = [replacement(vid) for vid in ys]
             rows.append((head, coeff, factors, prod(den for _, den in factors)))
         common = lcm(*(row[3] for row in rows))
@@ -695,13 +716,13 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> list:
                 nums = _mul_raw(nums, q)
             # the last factor goes straight into ``out``
             _mul_into(out, nums, factors[-1][0] if factors else {0: 1}, 1)
-        results.append(DiffPolynomial.from_nums(out, poly._den * common))
+        del rows  # else it holds the links trimmed below while the stream waits
         for l in list(table):
-            if l in keep[i]:
-                del table[l][keep[i][l] + 1 :]
+            if l in keep:
+                del table[l][keep[l] + 1 :]
             else:
                 del table[l]
-    return results
+        yield DiffPolynomial.from_nums(out, poly_den * common)
 
 
 def _coerce(value) -> "DiffPolynomial":

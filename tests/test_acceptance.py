@@ -98,7 +98,7 @@ def test_criterion_5_homogeneity():
     for n in (2, 3, 5, 7):
         for m in range(2, 11):
             system = bracket_system(n, m)
-            solution = solve_triangular(system)
+            solution, _ = solve_triangular(system)
             for index, value in solution.items():
                 assert value.weight() == index, (n, m, index)
             result = almost_commuting(n, m)

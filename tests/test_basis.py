@@ -1,6 +1,7 @@
 """Bracket systems, triangular solving, and the almost-commuting basis."""
 
 import random
+import sys
 
 import pytest
 
@@ -124,27 +125,29 @@ class TestBracketRecursive:
 
 class TestSolveTriangular:
     def test_solution_3_2(self):
-        solution = solve_triangular(bracket_system(3, 2))
+        solution, H = solve_triangular(bracket_system(3, 2))
         assert solution == golden.SOLUTION_3_2
+        assert H == golden.H_2
 
     def test_solution_3_4(self):
-        solution = solve_triangular(bracket_system(3, 4))
+        solution, H = solve_triangular(bracket_system(3, 4))
         assert solution == golden.SOLUTION_3_4
+        assert H == golden.H_4
 
     def test_solution_3_5(self):
-        solution = solve_triangular(bracket_system(3, 5))
+        solution, _ = solve_triangular(bracket_system(3, 5))
         assert solution == golden.SOLUTION_3_5
 
     def test_solution_weights(self):
         for n, m in ((2, 6), (4, 5), (5, 7)):
-            solution = solve_triangular(bracket_system(n, m))
+            solution, _ = solve_triangular(bracket_system(n, m))
             for index, value in solution.items():
                 assert value.weight() == index
 
     def test_solution_satisfies_every_equation(self):
         for n, m in ((2, 5), (3, 4), (4, 6), (5, 5), (3, 8), (6, 8)):
             system = bracket_system(n, m)
-            solution = solve_triangular(system)
+            solution, _ = solve_triangular(system)
             for equation in system.equations:
                 assert not equation.evaluate(solution)
             # the same band d^(n-1)..d^(n+m-3), substituted with one shared table
@@ -161,6 +164,20 @@ class TestSolveTriangular:
 
         solve_triangular(bracket_system(3, 4), on_step=check)
         assert seen == [2, 3, 4]
+
+    def test_h_matches_the_per_call_substitution(self):
+        # the stream's H against a second route: the negated low band
+        # d^0..d^(n-2), substituted by DiffOperator.evaluate with a table of
+        # its own after the solve; n | m included, where every H vanishes
+        for n in range(2, 8):
+            for m in sorted({1, 2, 3, n, n + 1, 2 * n - 1, 2 * n}):
+                system = bracket_system(n, m)
+                solution, H = solve_triangular(system)
+                band = DiffOperator.from_dict(
+                    {i: system.full_bracket.coefficient_at(i) for i in range(n - 1)}
+                )
+                expected = -band.evaluate(solution)
+                assert H == tuple(expected.coefficient_at(i) for i in range(n - 1)), (n, m)
 
     def test_stray_y_is_not_triangular(self):
         system = with_equation(bracket_system(3, 5), 3, y(4))
@@ -221,6 +238,15 @@ class TestAlmostCommuting:
             assert result.P == generic_L(n) ** (m // n)
             assert not any(result.H)
 
+    def test_vanishing_h_holds_no_grown_dict(self):
+        # n | m: every H cancels to zero, and an accumulator emptied by
+        # cancellation keeps its grown table, so the zero H must not be it
+        empty = sys.getsizeof({})
+        for n, m in ((2, 4), (3, 6), (4, 8), (5, 10), (3, 12)):
+            for i, h in enumerate(almost_commuting(n, m).H):
+                assert not h
+                assert sys.getsizeof(h._nums) == empty, (n, m, i)
+
     def test_top_h_is_a_total_derivative(self):
         # H_(m,n-2) = n (res Q^m)', so every Euler operator kills it; the
         # lower H_(m,i) need not be total derivatives
@@ -263,17 +289,10 @@ class TestBasis:
 
 class TestSubstitution:
     def test_each_derivative_is_taken_once(self, monkeypatch):
-        # the shared table derives q_l^(k) from q_l^(k-1): one _derive_raw
-        # call per (l, k >= 1) up to the highest order of y_l in the band
-        # (42 at (7,13), where per-coefficient tables made 287 calls)
-        system = bracket_system(7, 13)
-        solution = solve_triangular(system)
-        band = DiffOperator.from_coeffs(system.full_bracket.coefficients()[:6])  # d^0..d^5
-        highest: dict = {}
-        for coeff in band.coefficients():
-            for vid in coeff.variables():
-                if vid.family == Y_FAMILY:
-                    highest[vid.index] = max(highest.get(vid.index, 0), vid.order)
+        # one table serves the whole call: one _derive_raw call per
+        # (l, k >= 2) up to the highest order of y_l in any integrand or
+        # low-band coefficient; each y_l' is the step's integrand / -n
+        # (72 and 38, where a table per substitution made 254 and 93)
         calls = []
         original = polynomials._derive_raw
 
@@ -282,12 +301,25 @@ class TestSubstitution:
             return original(terms)
 
         monkeypatch.setattr(polynomials, "_derive_raw", counting)
-        band.evaluate(solution)
-        assert len(calls) == sum(highest.values())
+        for (n, m), want in (((7, 13), 72), ((3, 20), 38)):
+            system = bracket_system(n, m)
+            integrands = [
+                equation - n * y(index, 1)
+                for index, equation in enumerate(system.equations, 2)
+            ]
+            band = [system.full_bracket.coefficient_at(i) for i in range(n - 1)]
+            highest: dict = {}
+            for coeff in integrands + band:
+                for vid in coeff.variables():
+                    if vid.family == Y_FAMILY:
+                        highest[vid.index] = max(highest.get(vid.index, 0), vid.order)
+            calls.clear()
+            almost_commuting(n, m)
+            assert len(calls) == sum(max(k - 1, 0) for k in highest.values()) == want
 
     def test_operator_matches_coefficient_wise(self):
         system = bracket_system(5, 7)
-        solution = solve_triangular(system)
+        solution, _ = solve_triangular(system)
         full = system.full_bracket
         expected = [c.evaluate(solution) for c in full.coefficients()]
         assert full.evaluate(solution) == DiffOperator.from_coeffs(expected)
