@@ -161,17 +161,15 @@ def _operator_diff(computed, oracle) -> str:
 def cmd_verify(args) -> int:
     n, max_m = args.n, args.max_m
     t0 = time.perf_counter()
-    root = nth_root(generic_L(n), max_m - 1 if max_m > 1 else 0)
+    root = nth_root(generic_L(n), max_m - 1)
     root_seconds = time.perf_counter() - t0
     if not args.quiet:
         print(f"n-th root to depth {root.depth}: {root_seconds:.3f}s")
     failures = 0
-    q_power = root
+    q_powers = root.powers(max_m)
     for m in range(1, max_m + 1):
         t0 = time.perf_counter()
-        if m > 1:
-            q_power = q_power.mul_keep_low(root, -(max_m - m))
-        oracle = q_power.positive_part()
+        oracle = next(q_powers).positive_part()
         oracle_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
         computed = almost_commuting(n, m).P

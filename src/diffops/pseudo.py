@@ -1,19 +1,20 @@
 """Truncated pseudo-differential operators.
 
-Laurent-style operators sum_{i <= top} a_i d^i with finitely many retained
-coefficients (powers top down to ``low``).  Products go through
+Laurent-style operators sum_{i <= top} a_i d^i known on the powers top
+down to ``low`` and on nothing below.  Products go through
 ``operators.leibniz_product``, whose generalized binomial expansion also
 moves negative powers of d past coefficients.
 
-Every product is truncated at a caller-chosen depth; depth bookkeeping
-guarantees that each retained coefficient of a truncated product equals
-the corresponding coefficient of the untruncated product, or the
-multiplication refuses to proceed.
+One depth rule governs every product: a b is known on the powers
+>= max(a.low + b.top, a.top + b.low), one above the highest power that
+the unknown tail of either factor can reach.  A product truncated at a
+caller-chosen power at or above that bound equals the untruncated
+product there; below it the multiplication refuses to proceed.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .operators import (
     _ONE_POLY,
@@ -32,22 +33,16 @@ class InsufficientDepthError(ValueError):
 
 
 class TruncatedPDO:
-    """A pseudo-differential operator retained on powers [low, top].
+    """A pseudo-differential operator known on the powers [low, top].
 
-    ``exact_tail`` records whether coefficients below ``low`` are known to
-    be exactly zero (False means they were discarded by truncation and are
-    unknown).
+    Coefficients below ``low`` are unknown, also when they would be zero:
+    asking for one raises InsufficientDepthError, and a product is known
+    only as far as the module's depth rule allows.
     """
 
-    __slots__ = ("_top", "_low", "_coeffs", "_exact_tail")
+    __slots__ = ("_top", "_low", "_coeffs")
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, DiffPolynomial],
-        top: int,
-        low: int,
-        exact_tail: bool = False,
-    ):
+    def __init__(self, coeffs: Mapping[int, DiffPolynomial], top: int, low: int):
         if low > top:
             raise ValueError("low power exceeds top power")
         self._coeffs = {p: c for p, c in coeffs.items() if c}
@@ -55,15 +50,14 @@ class TruncatedPDO:
             raise ValueError("coefficient outside the retained range")
         self._top = top
         self._low = low
-        self._exact_tail = exact_tail
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_operator(cls, op: DiffOperator) -> "TruncatedPDO":
-        if not op:
-            return cls({}, top=0, low=0, exact_tail=True)
-        return cls(op._coeffs, top=op.order, low=0, exact_tail=True)
+        """``op`` known on the powers [0, op.order]; the zero operator, of
+        order -inf, is refused."""
+        return cls(op._coeffs, top=op.order, low=0)
 
     # -- queries ------------------------------------------------------------
 
@@ -79,14 +73,10 @@ class TruncatedPDO:
     def depth(self) -> int:
         return max(0, -self._low)
 
-    @property
-    def exact_tail(self) -> bool:
-        return self._exact_tail
-
     def coefficient_at(self, power: int) -> DiffPolynomial:
         if power > self._top:
             return _ZERO_POLY
-        if power < self._low and not self._exact_tail:
+        if power < self._low:
             raise InsufficientDepthError(
                 f"coefficient of d^{power} was discarded (retained down to d^{self._low})"
             )
@@ -103,7 +93,6 @@ class TruncatedPDO:
             self._coeffs == other._coeffs
             and self._top == other._top
             and self._low == other._low
-            and self._exact_tail == other._exact_tail
         )
 
     # -- arithmetic ------------------------------------------------------------
@@ -111,54 +100,50 @@ class TruncatedPDO:
     def mul_keep_low(self, other: "TruncatedPDO", keep_low: int) -> "TruncatedPDO":
         """Product truncated at ``keep_low``; retained coefficients exact.
 
-        Raises InsufficientDepthError when a discarded tail of either
+        Raises InsufficientDepthError when the unknown tail of either
         factor could contribute at or above ``keep_low``.
         """
-        if not self._exact_tail and keep_low < self._low + other._top:
+        if keep_low < self._low + other._top:
             raise InsufficientDepthError(
                 f"left factor retained to d^{self._low}: product coefficients below "
                 f"d^{self._low + other._top} are not exact (requested d^{keep_low})"
             )
-        if not other._exact_tail and keep_low < self._top + other._low:
+        if keep_low < self._top + other._low:
             raise InsufficientDepthError(
                 f"right factor retained to d^{other._low}: product coefficients below "
                 f"d^{self._top + other._low} are not exact (requested d^{keep_low})"
             )
         coeffs = leibniz_product(self._coeffs, other._coeffs, keep_low)
         top = self._top + other._top
-        # Negative left powers expand to infinite tails against non-constant
-        # coefficients, so the product tail is known-zero only when the left
-        # factor is purely differential, or the right coefficients are all
-        # constants.
-        exact = False
-        if self._exact_tail and other._exact_tail:
-            if self._low >= 0:
-                exact = keep_low <= other._low
-            elif keep_low <= self._low + other._low:
-                exact = not any(c.derive() for c in other._coeffs.values())
-        return TruncatedPDO(coeffs, top=top, low=min(keep_low, top), exact_tail=exact)
+        return TruncatedPDO(coeffs, top=top, low=min(keep_low, top))
 
-    def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":
-        """exponent-th power with per-product depth bookkeeping.
+    def powers(self, exponent: int, tail_depth: int = 0) -> Iterator["TruncatedPDO"]:
+        """Yield self, self^2, ..., self^exponent.
 
-        The result is exact on powers >= -tail_depth (tail_depth may be
-        negative); each intermediate product keeps just enough extra depth
-        for that.  For a truncated factor of top 1 (an n-th root) the
-        factor must carry depth at least tail_depth + exponent - 1.
+        The j-th power is truncated at -(tail_depth + exponent - j), just
+        deep enough for the last one to be exact on powers >= -tail_depth
+        (tail_depth may be negative).  For a factor of top 1 (an n-th
+        root) the factor must carry depth at least
+        tail_depth + exponent - 1.
         """
         if exponent < 1:
             raise ValueError("exponent must be positive")
         acc = self
+        yield acc
         for j in range(2, exponent + 1):
             acc = acc.mul_keep_low(self, -(tail_depth + exponent - j))
+            yield acc
+
+    def power(self, exponent: int, tail_depth: int = 0) -> "TruncatedPDO":
+        """The last of ``powers(exponent, tail_depth)``, exact on powers >= -tail_depth."""
+        for acc in self.powers(exponent, tail_depth):
+            pass
         return acc
 
     def positive_part(self) -> DiffOperator:
         """The nonnegative-power part as a differential operator."""
-        if self._low > 0 and not self._exact_tail:
-            raise InsufficientDepthError(
-                "positive part not fully retained"
-            )
+        if self._low > 0:
+            raise InsufficientDepthError("positive part not fully retained")
         return DiffOperator.from_dict(
             {p: c for p, c in self._coeffs.items() if p >= 0}
         )
@@ -170,7 +155,7 @@ class TruncatedPDO:
 
     def __str__(self) -> str:
         body = render_terms(self._coeffs, str, _d_text, "*", ("(", ")"))
-        if self._exact_tail or not self._coeffs:
+        if not self._coeffs:
             return body
         return f"{body} + O(D^{self._low - 1})"
 
@@ -194,11 +179,15 @@ def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
     found: dict = {1: _ONE_POLY}
     for t in range(1, depth + 1):
         target = n - 1 - t
-        known = TruncatedPDO(found, top=1, low=1 - t, exact_tail=True)
-        # exact on powers >= target: the j-th factor keeps powers >= j - t - 1
+        # q_{-t} is not found yet, so ``known`` holds 0 at d^-t; depth t is
+        # what power(n, t + 1 - n) needs (tail + exponent - 1 = t).  In Q^n,
+        # q_{-t} reaches the target only as q_{-t} d^-t times the leading
+        # d of the other n - 1 factors, once per position, so the power
+        # misses exactly n * q_{-t} at the target.
+        known = TruncatedPDO(found, top=1, low=-t)
         acc = known.power(n, t + 1 - n)
         mismatch = op.coefficient_at(target) - acc.coefficient_at(target)
         q_t = mismatch / n
         if q_t:
             found[-t] = q_t
-    return TruncatedPDO(found, top=1, low=-depth, exact_tail=False)
+    return TruncatedPDO(found, top=1, low=-depth)

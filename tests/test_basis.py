@@ -332,15 +332,9 @@ class TestHierarchyOracle:
         L = generic_L(n)
         root = nth_root(L, 8 + n)
         as_pdo = TruncatedPDO.from_operator(L)
-        q_power = root
-        for m in range(1, 10):
-            if m > 1:
-                q_power = q_power.mul_keep_low(root, -(n + 9 - m))
+        for m, q_power in enumerate(root.powers(9, n), 1):
             minus = TruncatedPDO(
-                {p: q_power.coefficient_at(p) for p in range(-n, 0)},
-                top=-1,
-                low=-n,
-                exact_tail=True,
+                {p: q_power.coefficient_at(p) for p in range(-n, 0)}, top=-1, low=-n
             )
             bracket = (
                 as_pdo.mul_keep_low(minus, 0).positive_part()

@@ -165,10 +165,12 @@ class TestKdvCommand:
 
 
 class TestVerifyCommand:
-    def test_small_run_passes(self, capsys):
-        assert run("verify", "--n", "2", "--max-m", "9", "--quiet") == 0
+    # --max-m 1 is a root of depth 0 and the single power Q
+    @pytest.mark.parametrize("n, max_m", [(2, 9), (2, 1), (3, 1), (7, 1)])
+    def test_small_run_passes(self, capsys, n, max_m):
+        assert run("verify", "--n", str(n), "--max-m", str(max_m), "--quiet") == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == max_m
         assert "FAIL" not in out
 
     def test_mismatch_is_reported_and_exits_2(self, capsys, monkeypatch):

@@ -26,38 +26,40 @@ def L(n: int) -> DiffOperator:
     return DiffOperator.from_dict(coeffs)
 
 
-def d_inverse() -> TruncatedPDO:
-    return TruncatedPDO({-1: ONE}, top=-1, low=-1, exact_tail=True)
+def d_inverse(low: int) -> TruncatedPDO:
+    """d^{-1}, its zero tail stated down to d^low."""
+    return TruncatedPDO({-1: ONE}, top=-1, low=low)
 
 
-def as_pdo(op: DiffOperator) -> TruncatedPDO:
-    return TruncatedPDO.from_operator(op)
+def as_pdo(op: DiffOperator, low: int) -> TruncatedPDO:
+    """A differential operator, its zero tail stated down to d^low."""
+    return TruncatedPDO(dict(enumerate(op.coefficients())), top=op.order, low=low)
 
 
 class TestCommutationExpansion:
     def test_d_inverse_against_multiplication(self):
         # d^{-1} u2 = u2 d^{-1} - u2' d^{-2} + u2'' d^{-3} - ...
-        result = d_inverse().mul_keep_low(as_pdo(DiffOperator.from_coeffs([u(2)])), -3)
+        result = d_inverse(-3).mul_keep_low(as_pdo(DiffOperator.from_coeffs([u(2)]), -2), -3)
         assert result.coefficient_at(-1) == u(2)
         assert result.coefficient_at(-2) == -u(2, 1)
         assert result.coefficient_at(-3) == u(2, 2)
-        assert result.low == -3 and not result.exact_tail
+        assert result.low == -3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_negative_powers_against_multiplication(self, k):
         # d^{-k} r = sum_s (-1)^s C(k+s-1, s) r^{(s)} d^{-k-s}, with the
         # binomial from math.comb rather than the product's recurrence
         r = u(2) * u(3, 1) + Rational(1, 2) * u(3)
-        d_k = TruncatedPDO({-k: ONE}, top=-k, low=-k, exact_tail=True)
-        result = d_k.mul_keep_low(as_pdo(DiffOperator.from_coeffs([r])), -k - 4)
+        d_k = TruncatedPDO({-k: ONE}, top=-k, low=-k - 4)
+        result = d_k.mul_keep_low(as_pdo(DiffOperator.from_coeffs([r]), -4), -k - 4)
         for s in range(5):
             expected = (-1) ** s * comb(k + s - 1, s) * r.derive(s)
             assert result.coefficient_at(-k - s) == expected
 
     def test_d_inverse_is_two_sided_inverse(self):
-        lhs = as_pdo(D()).mul_keep_low(d_inverse(), -2)
-        rhs = d_inverse().mul_keep_low(as_pdo(D()), -2)
-        one = as_pdo(DiffOperator.one())
+        lhs = as_pdo(D(), -1).mul_keep_low(d_inverse(-3), -2)
+        rhs = d_inverse(-3).mul_keep_low(as_pdo(D(), -1), -2)
+        one = as_pdo(DiffOperator.one(), -2)
         assert lhs.positive_part() == DiffOperator.one()
         assert rhs.positive_part() == DiffOperator.one()
         for power in range(-2, 1):
@@ -67,7 +69,7 @@ class TestCommutationExpansion:
     def test_differential_operator_products_match_ring(self):
         a = L(3)
         b = DiffOperator.from_dict({2: 1, 0: u(2)})
-        via_pdo = as_pdo(a).mul_keep_low(as_pdo(b), 0)
+        via_pdo = as_pdo(a, -2).mul_keep_low(as_pdo(b, -3), 0)
         direct = a * b
         assert via_pdo.positive_part() == direct
 
@@ -97,7 +99,7 @@ class TestNthRoot:
         q = nth_root(L(3), 4)
         cube = q.power(3, tail_depth=2)
         for power in range(-2, 4):
-            assert cube.coefficient_at(power) == as_pdo(L(3)).coefficient_at(power), power
+            assert cube.coefficient_at(power) == L(3).coefficient_at(power), power
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_root_identity_retained_coefficients(self, n):
@@ -106,7 +108,7 @@ class TestNthRoot:
         tail = depth - (n - 1)
         power = q.power(n, tail_depth=tail)
         for p in range(-tail, n + 1):
-            assert power.coefficient_at(p) == as_pdo(L(n)).coefficient_at(p), p
+            assert power.coefficient_at(p) == L(n).coefficient_at(p), p
 
     def test_root_coefficients_homogeneous(self):
         q = nth_root(L(5), 6)
@@ -136,9 +138,8 @@ class TestNthRoot:
 
         monkeypatch.setattr(operators, "_derive_raw", counting)
         root = nth_root(L(3), 13)
-        q_power = root
-        for m in range(2, 15):
-            q_power = q_power.mul_keep_low(root, -(14 - m))
+        for _ in root.powers(14):
+            pass
         assert derived
         assert len(set(derived)) == len(derived)
 
@@ -187,6 +188,27 @@ class TestPower:
         with pytest.raises(InsufficientDepthError):
             q.power(5)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_powers_match_power(self, n):
+        # (e, t) = (n, 1 - n) and (n, 3 - n) are nth_root's first and third
+        # steps: a negative tail depth
+        for e, t in [(1, 0), (3, 0), (4, 2), (6, 1), (n, 1 - n), (n, 3 - n)]:
+            root = nth_root(L(n), max(0, t + e - 1))
+            powers = list(root.powers(e, t))
+            assert len(powers) == e
+            for j, pj in enumerate(powers, 1):
+                # == compares the coefficients, top and low
+                assert pj == root.power(j, t + e - j), (e, t, j)
+
+    def test_powers_stop_at_first_shallow_product(self):
+        root = nth_root(L(3), 2)
+        powers = root.powers(5)
+        assert next(powers) is root
+        with pytest.raises(InsufficientDepthError, match=r"left factor retained to d\^-2"):
+            next(powers)
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            next(root.powers(0))
+
     def test_depth_stability(self):
         # the positive part must not depend on extra tail depth
         for m in (4, 5, 7):
@@ -195,24 +217,65 @@ class TestPower:
             assert shallow == deep
 
 
+class TestDepthRule:
+    # a b is known on powers >= max(a.low + b.top, a.top + b.low); each
+    # retained coefficient must agree with the product of a deeper root
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_root_times_root(self, n, depth):
+        root, deeper = nth_root(L(n), depth), nth_root(L(n), depth + 3)
+        for k in range(-depth - 3, 3):
+            if k < 1 - depth:
+                message = rf"left factor retained to d\^{-depth}:"
+                with pytest.raises(InsufficientDepthError, match=message):
+                    root.mul_keep_low(root, k)
+                continue
+            product = root.mul_keep_low(root, k)
+            expected = deeper.mul_keep_low(deeper, k)
+            for p in range(k, 3):
+                assert product.coefficient_at(p) == expected.coefficient_at(p), (k, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_operator_times_root(self, n, depth):
+        op = TruncatedPDO.from_operator(L(n))
+        root, deeper = nth_root(L(n), depth), nth_root(L(n), depth + 3)
+        for k in range(-depth - 3, n + 2):
+            if k < 1:
+                message = r"left factor retained to d\^0:"
+            elif k < n - depth:
+                message = rf"right factor retained to d\^{-depth}:"
+            else:
+                product = op.mul_keep_low(root, k)
+                expected = op.mul_keep_low(deeper, k)
+                for p in range(k, n + 2):
+                    assert product.coefficient_at(p) == expected.coefficient_at(p), (k, p)
+                continue
+            with pytest.raises(InsufficientDepthError, match=message):
+                op.mul_keep_low(root, k)
+
+
 class TestPositivePart:
     def test_of_root_is_d(self):
         assert nth_root(L(3), 2).positive_part() == D()
 
     def test_of_negative_tail_is_zero(self):
-        tail = TruncatedPDO({-1: u(2)}, top=-1, low=-1, exact_tail=True)
+        tail = TruncatedPDO({-1: u(2)}, top=-1, low=-1)
         assert not tail.positive_part()
 
     def test_zero_operator_is_exact(self):
-        zero = as_pdo(DiffOperator.zero())
-        assert (zero.top, zero.low, zero.exact_tail) == (0, 0, True)
+        # known on [0, 0] and zero there; from_operator has no order to use
+        zero = TruncatedPDO({}, top=0, low=0)
         assert not zero.positive_part()
+        with pytest.raises(ValueError, match="low power exceeds top power"):
+            TruncatedPDO.from_operator(DiffOperator.zero())
 
-    def test_truncation_flag_round_trip(self):
+    def test_depth_round_trip(self):
         q = nth_root(L(2), 3)
-        assert not q.exact_tail and q.depth == 3
-        exact = as_pdo(L(2))
-        assert exact.exact_tail and exact.depth == 0
+        assert (q.top, q.low, q.depth) == (1, -3, 3)
+        exact = TruncatedPDO.from_operator(L(2))
+        assert (exact.top, exact.low, exact.depth) == (2, 0, 0)
 
 
 class TestLoudFailures:
@@ -227,7 +290,7 @@ class TestLoudFailures:
 
     def test_shallow_right_factor(self):
         with pytest.raises(InsufficientDepthError, match=r"right factor retained to d\^-1"):
-            as_pdo(L(3)).mul_keep_low(nth_root(L(3), 1), -3)
+            as_pdo(L(3), -4).mul_keep_low(nth_root(L(3), 1), -3)
 
     def test_positive_part_not_retained(self):
         truncated = TruncatedPDO({2: u(2)}, top=2, low=1)
@@ -255,17 +318,17 @@ class TestEquality:
     def test_roots_built_alike_are_equal(self):
         assert nth_root(L(3), 3) == nth_root(L(3), 3)
 
-    def test_range_and_tail_flag_count(self):
+    def test_range_counts(self):
         pdo = TruncatedPDO({1: ONE}, top=1, low=-1)
         assert pdo == TruncatedPDO({1: ONE}, top=1, low=-1)
         assert pdo != TruncatedPDO({1: ONE}, top=1, low=-2)
-        assert pdo != TruncatedPDO({1: ONE}, top=1, low=-1, exact_tail=True)
+        assert pdo != TruncatedPDO({1: ONE}, top=2, low=-1)
 
 
 class TestRendering:
     def test_exact(self):
-        pdo = TruncatedPDO({-1: ONE, 1: u(2)}, top=1, low=-1, exact_tail=True)
-        assert str(pdo) == "u2*D + D^-1"
+        pdo = TruncatedPDO({-1: ONE, 1: u(2)}, top=1, low=-1)
+        assert str(pdo) == "u2*D + D^-1 + O(D^-2)"
 
     def test_truncated_tail(self):
         root = nth_root(L(3), 2)
