@@ -20,10 +20,8 @@ the low band of the bracket yields the hierarchy polynomials H_{m,i}
 defined by [P_m, L] = H_{m,0} + H_{m,1} d + ... + H_{m,n-2} d^{n-2}.
 
 All these substitutions, the m - 1 solve steps and then the low band, run
-as one stream with one derivative table per ``almost_commuting`` call.
-The table is trimmed after each polynomial to the orders that later ones
-use, and each step seeds it with q_l' = (integrand) / -n, so every
-q_l^{(k)} with k >= 2 is derived once per call and q_l' never.
+as one ``substitute`` stream per ``almost_commuting`` call, so every
+q_l^{(k)} is derived once per call.
 """
 
 from __future__ import annotations
@@ -34,6 +32,11 @@ from typing import Callable
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator, commutator
 from .polynomials import DiffPolynomial, IncompleteSolutionError, substitute, u, y
+
+# The version of the algorithm behind every result: bump it whenever the
+# solve or the substitution changes any output, so that the result cache
+# never serves what an earlier version computed.
+ALGORITHM_VERSION = 1
 
 
 def generic_L(n: int) -> DiffOperator:
@@ -115,20 +118,15 @@ def solve_triangular(
     One ``substitute`` stream serves the whole solve: the m - 1 integrands,
     then the low band d^0..d^(n-2) of [L, P~_m], negated, since
     [P_m, L] = -[L, P_m]; the band is negated rather than H because the
-    band is small and H is large.  So one derivative table, trimmed after
-    each polynomial to what later ones use, derives each q_l^(k) at most
-    once per call.  After integrating rest = d(A) the step assigns
-    q_i = A / -n and seeds the table with q_i' = rest / -n, so only the
-    orders k >= 2 of y_i are derived.
+    band is small and H is large.  So each q_l^(k) is derived at most once
+    per call, and no q_l keeps its derivatives after the call.
     """
     n = system.n
     assignments: dict = {}
-    derivatives: dict = {}
     stream = substitute(
         [equation - n * y(index, 1) for index, equation in enumerate(system.equations, 2)]
         + [-system.full_bracket.coefficient_at(i) for i in range(n - 1)],
         assignments,
-        derivatives,
     )
     for index in range(2, system.m + 1):
         try:
@@ -152,7 +150,6 @@ def solve_triangular(
         if on_step is not None:
             on_step(index, rest, q_index)
         assignments[index] = q_index
-        derivatives[index] = rest / -n
     return assignments, tuple(stream)
 
 

@@ -24,8 +24,12 @@ a miss is never served.  Concurrent writers of the same key converge to
 one valid entry because the final rename is atomic.
 
 The cache root comes from the DIFFOPS_CACHE_DIR environment variable and
-falls back to a per-user cache directory.  The format version is embedded
-in the directory layout so schema evolution invalidates cleanly.
+falls back to a per-user cache directory.  Entries live in its
+subdirectory ``v{FORMAT_VERSION}-a{ALGORITHM_VERSION}`` (``v1-a1`` for
+format 1 and ``basis.ALGORITHM_VERSION`` 1), so a new payload format or a
+new version of the algorithm starts an empty directory: an entry that
+another version wrote is never listed or served, and the entry bytes
+need no algorithm field.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from .basis import AlmostCommutingResult
+from .basis import ALGORITHM_VERSION, AlmostCommutingResult
 from .formats import FORMAT_VERSION, result_from_json, result_to_json
 
 CACHE_ENV_VAR = "DIFFOPS_CACHE_DIR"
@@ -72,7 +76,7 @@ class ResultCache:
 
     @property
     def version_dir(self) -> Path:
-        return self.root / f"v{FORMAT_VERSION}"
+        return self.root / f"v{FORMAT_VERSION}-a{ALGORITHM_VERSION}"
 
     def entry_path(self, n: int, m: int) -> Path:
         return self.version_dir / f"({n}_{m}).json"

@@ -23,7 +23,7 @@ from .polynomials import (
     DiffPolynomial,
     NotHomogeneousError,
     _acc,
-    _derive_raw,
+    _derivatives,
     _mul_into,
     binary_power,
     join_signed,
@@ -155,8 +155,8 @@ class DiffOperator:
     def evaluate(self, assignments: Mapping) -> "DiffOperator":
         """Coefficient-wise differential substitution of y-variables.
 
-        All coefficients share one derivative table: one stream through
-        ``substitute``.
+        All coefficients run as one stream through ``substitute``, so each
+        q_l^{(k)} is derived once for the whole operator.
         """
         polys = substitute(list(self._coeffs.values()), assignments)
         return DiffOperator({i: c for i, c in zip(self._coeffs, polys) if c})
@@ -231,11 +231,11 @@ def leibniz_product(
     sum once.  In a homogeneous operator they all have one weight, so
     their monomials overlap and the sum is much shorter than its parts.
     The integers are only reassociated, so the result is unchanged.  The
-    chain b[j], b[j]', b[j]'', ... comes from ``_derivatives``, which
-    keeps it on the polynomial b[j] for as long as that polynomial lives:
-    a right factor used again (the root in every product Q^m, the known
-    root coefficients in every ``nth_root`` step) is derived only past
-    the depth an earlier product reached.
+    chain b[j], b[j]', b[j]'', ... comes from ``polynomials._derivatives``,
+    which keeps it on the polynomial b[j]: a right factor used again (the
+    root in every product Q^m, the known root coefficients in every
+    ``nth_root`` step) is derived only past the depth an earlier product
+    reached.
     """
     # every product coefficient is a numerator dict over da * db
     da = lcm(*(ai._den for ai in a.values()))
@@ -270,24 +270,6 @@ def leibniz_product(
             if nums:
                 _mul_into(out.setdefault(p, {}), ai._nums, nums, coef * scale)
     return {p: DiffPolynomial.from_nums(nums, da * db) for p, nums in out.items()}
-
-
-def _derivatives(poly: DiffPolynomial, top: int) -> list:
-    """[poly, poly', ..., poly^{(top)}] as numerator dicts, shorter when a
-    derivative is zero (it then ends with that empty dict).
-
-    The chain is kept in ``poly._derivs``.  A longer chain replaces the
-    stored list instead of extending it, and the dicts are never mutated,
-    so a list once stored never changes and callers in several threads
-    need no lock: at worst two of them derive the same step.
-    """
-    derivs = poly._derivs or [poly._nums]
-    if len(derivs) <= top and derivs[-1]:
-        derivs = list(derivs)
-        while len(derivs) <= top and derivs[-1]:
-            derivs.append(_derive_raw(derivs[-1]))
-        poly._derivs = derivs
-    return derivs
 
 
 def operator_weight(terms: Mapping[int, DiffPolynomial]) -> int | None:

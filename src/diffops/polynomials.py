@@ -42,16 +42,14 @@ slot numbers never reach an output, and no result depends on the order
 in which variables were first met.
 
 A polynomial may also carry ``_derivs``, its derivative chain
-``[nums, nums', nums'', ...]`` as numerator dicts.  It is None until
-``operators.leibniz_product`` first needs a derivative of the polynomial
-as a right coefficient; only that function sets it, and the chain lives
-as long as the polynomial, so a right factor multiplied again is not
-derived again.
-``substitute`` keeps its own table instead, one per stream of
-polynomials: its ``q_l`` are the long-lived solution polynomials, and
-chains kept on them would hold every ``q_l^{(k)}`` of a solve alive after
-the solve, where the table drops each one after the last polynomial of
-the stream that uses it.
+``[nums, nums', nums'', ...]`` as numerator dicts, or None.  Only
+``_derivatives`` grows a chain, and no other module touches ``_derivs``.
+``operators.leibniz_product`` grows the chains of its right factors and
+leaves them on the polynomial, so a right factor multiplied again is not
+derived again.  ``substitute`` grows the chain of each assigned q_l, cuts
+it after each polynomial of its stream to the orders of y_l that later
+ones use, and drops it (None) after the last one or when the stream stops
+early, so no q_l^{(k)} outlives the stream.
 """
 
 from __future__ import annotations
@@ -363,6 +361,24 @@ def _derive_raw(terms: dict) -> dict:
     return out
 
 
+def _derivatives(poly: DiffPolynomial, top: int) -> list:
+    """[poly, poly', ..., poly^{(top)}] as numerator dicts, shorter when a
+    derivative is zero (it then ends with that empty dict).
+
+    The chain is kept in ``poly._derivs``.  A longer chain replaces the
+    stored list instead of extending it, and the dicts are never mutated,
+    so a list once stored never changes and callers in several threads
+    need no lock: at worst two of them derive the same step.
+    """
+    derivs = poly._derivs or [poly._nums]
+    if len(derivs) <= top and derivs[-1]:
+        derivs = list(derivs)
+        while len(derivs) <= top and derivs[-1]:
+            derivs.append(_derive_raw(derivs[-1]))
+        poly._derivs = derivs
+    return derivs
+
+
 def _ratio_of(value) -> tuple:
     """(numerator, denominator > 0) of a rational scalar, in lowest terms."""
     if not isinstance(value, int):
@@ -592,8 +608,8 @@ class DiffPolynomial:
         u- and c-variables pass through unchanged.  ``assignments`` maps
         the integer index l of each y-variable to a DiffPolynomial, as the
         solution of ``solve_triangular``.  A stream of one polynomial
-        through ``substitute``, so its derivative table lives for this
-        call; the solve runs its own longer stream.
+        through ``substitute``, so the derivative chains it grows on the
+        assignments are dropped before it returns.
         """
         return next(substitute((self,), assignments))
 
@@ -645,24 +661,19 @@ def _normal_form(nums: dict, den: int) -> tuple:
     return nums, den
 
 
-def substitute(
-    polys: Sequence[DiffPolynomial],
-    assignments: Mapping,
-    derivatives: dict | None = None,
-) -> Iterator[DiffPolynomial]:
+def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterator[DiffPolynomial]:
     """Yield ``p.evaluate(assignments)`` for each p of ``polys`` in turn.
 
-    The whole stream shares one derivative table that builds q_l^{(k)}
-    from q_l^{(k-1)}, so each (l, k) is derived at most once.  After each
-    polynomial the table keeps q_l^{(k)} only up to the highest order of
-    y_l that a later polynomial uses, and drops l when none does; it
-    lives as long as the stream.
+    Each q_l^{(k)} comes from the chain ``_derivatives`` keeps on q_l, so
+    each (l, k) is derived at most once per stream.  After each
+    polynomial the stream cuts q_l's chain to the highest order of y_l
+    that a later polynomial uses, and drops it when none does or when the
+    stream stops early (an ``IncompleteSolutionError``, or a consumer that
+    stops iterating).
 
     ``assignments[l]`` is read only when a polynomial first needs y_l, so
     the caller may add assignments between yields, as the triangular solve
-    does.  ``derivatives``, when given, maps l to q_l' where the caller
-    already knows it: the table takes (pops) it as the first link of
-    y_l's chain instead of deriving it.
+    does.
     """
     y_fields = _FAMILY_FIELDS[Y_FAMILY]
     # pending, last polynomial first: (split, den, keep), where split has
@@ -684,45 +695,44 @@ def substitute(
             split.append((key - ys, coeff, factors))
         pending.append((split, poly._den, keep))
     del polys  # the stream may be the only holder of the input list
-    table: dict = {}  # l -> [q_l, q_l', q_l'', ...] as (nums, den) pairs
+    used: dict = {}  # l -> q_l, for each l whose chain the stream holds
 
     def replacement(vid) -> tuple:
-        links = table.get(vid.index)
-        if links is None:
+        q = used.get(vid.index)
+        if q is None:
             if vid.index not in assignments:
                 raise IncompleteSolutionError(vid.index)
-            q = assignments[vid.index]
-            links = table[vid.index] = [(q._nums, q._den)]
-            seed = derivatives.pop(vid.index, None) if derivatives else None
-            if seed is not None:
-                links.append((seed._nums, seed._den))
-        while len(links) <= vid.order:
-            nums, den = links[-1]
-            links.append((_derive_raw(nums), den))
-        return links[vid.order]
+            q = used[vid.index] = assignments[vid.index]
+        derivs = _derivatives(q, vid.order)
+        return derivs[min(vid.order, len(derivs) - 1)], q._den
 
-    while pending:
-        split, poly_den, keep = pending.pop()
-        # each monomial's factors, and the product of their denominators
-        rows = []
-        for head, coeff, ys in split:
-            factors = [replacement(vid) for vid in ys]
-            rows.append((head, coeff, factors, prod(den for _, den in factors)))
-        common = lcm(*(row[3] for row in rows))
-        out: dict = {}
-        for head, coeff, factors, den in rows:
-            nums = {head: coeff * (common // den)}
-            for q, _ in factors[:-1]:
-                nums = _mul_raw(nums, q)
-            # the last factor goes straight into ``out``
-            _mul_into(out, nums, factors[-1][0] if factors else {0: 1}, 1)
-        del rows  # else it holds the links trimmed below while the stream waits
-        for l in list(table):
-            if l in keep:
-                del table[l][keep[l] + 1 :]
-            else:
-                del table[l]
-        yield DiffPolynomial.from_nums(out, poly_den * common)
+    try:
+        while pending:
+            split, poly_den, keep = pending.pop()
+            # each monomial's factors, and the product of their denominators
+            rows = []
+            for head, coeff, ys in split:
+                factors = [replacement(vid) for vid in ys]
+                rows.append((head, coeff, factors, prod(den for _, den in factors)))
+            common = lcm(*(row[3] for row in rows))
+            out: dict = {}
+            for head, coeff, factors, den in rows:
+                nums = {head: coeff * (common // den)}
+                for q, _ in factors[:-1]:
+                    nums = _mul_raw(nums, q)
+                # the last factor goes straight into ``out``
+                _mul_into(out, nums, factors[-1][0] if factors else {0: 1}, 1)
+            del rows  # else it holds the derivatives cut below while the stream waits
+            for l, q in list(used.items()):
+                if l in keep:
+                    q._derivs = (q._derivs or [q._nums])[: keep[l] + 1]
+                else:
+                    q._derivs = None
+                    del used[l]
+            yield DiffPolynomial.from_nums(out, poly_den * common)
+    finally:
+        for q in used.values():
+            q._derivs = None
 
 
 def _coerce(value) -> "DiffPolynomial":

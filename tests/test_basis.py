@@ -150,7 +150,7 @@ class TestSolveTriangular:
             solution, _ = solve_triangular(system)
             for equation in system.equations:
                 assert not equation.evaluate(solution)
-            # the same band d^(n-1)..d^(n+m-3), substituted with one shared table
+            # the same band d^(n-1)..d^(n+m-3), substituted as one stream
             assert system.full_bracket.evaluate(solution).order <= n - 2, (n, m)
 
     def test_step_integrands_agree_across_methods(self):
@@ -167,7 +167,7 @@ class TestSolveTriangular:
 
     def test_h_matches_the_per_call_substitution(self):
         # the stream's H against a second route: the negated low band
-        # d^0..d^(n-2), substituted by DiffOperator.evaluate with a table of
+        # d^0..d^(n-2), substituted by DiffOperator.evaluate in a stream of
         # its own after the solve; n | m included, where every H vanishes
         for n in range(2, 8):
             for m in sorted({1, 2, 3, n, n + 1, 2 * n - 1, 2 * n}):
@@ -289,10 +289,10 @@ class TestBasis:
 
 class TestSubstitution:
     def test_each_derivative_is_taken_once(self, monkeypatch):
-        # one table serves the whole call: one _derive_raw call per
-        # (l, k >= 2) up to the highest order of y_l in any integrand or
-        # low-band coefficient; each y_l' is the step's integrand / -n
-        # (72 and 38, where a table per substitution made 254 and 93)
+        # one stream serves the whole solve: one _derive_raw call per
+        # (l, k >= 1) up to the highest order of y_l in any integrand or
+        # low-band coefficient; the bracket is built first, since its
+        # products derive through the same function
         calls = []
         original = polynomials._derive_raw
 
@@ -300,8 +300,7 @@ class TestSubstitution:
             calls.append(len(terms))
             return original(terms)
 
-        monkeypatch.setattr(polynomials, "_derive_raw", counting)
-        for (n, m), want in (((7, 13), 72), ((3, 20), 38)):
+        for (n, m), want in (((7, 13), 84), ((3, 20), 57)):
             system = bracket_system(n, m)
             integrands = [
                 equation - n * y(index, 1)
@@ -314,8 +313,17 @@ class TestSubstitution:
                     if vid.family == Y_FAMILY:
                         highest[vid.index] = max(highest.get(vid.index, 0), vid.order)
             calls.clear()
-            almost_commuting(n, m)
-            assert len(calls) == sum(max(k - 1, 0) for k in highest.values()) == want
+            with monkeypatch.context() as patch:
+                patch.setattr(polynomials, "_derive_raw", counting)
+                solve_triangular(system)
+            assert len(calls) == sum(highest.values()) == want
+
+    def test_no_derivative_chain_outlives_the_call(self):
+        # (4, 8): n | m, so every H is zero
+        for n, m in ((3, 20), (7, 13), (4, 8)):
+            result = almost_commuting(n, m)
+            for coeff in result.P.coefficients() + result.H:
+                assert coeff._derivs is None, (n, m)
 
     def test_operator_matches_coefficient_wise(self):
         system = bracket_system(5, 7)

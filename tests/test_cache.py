@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from diffops.basis import almost_commuting
+from diffops.basis import ALGORITHM_VERSION, almost_commuting
 from diffops.cache import CACHE_ENV_VAR, ResultCache, default_cache_root
 from diffops.formats import FORMAT_VERSION, canonical_json_bytes, result_to_json
 from diffops.hierarchy import gd_equations
@@ -442,7 +442,20 @@ def test_entries_skip_names_that_entry_path_never_writes(tmp_path):
 def test_version_directory_layout(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(3, 2, almost_commuting(3, 2))
-    assert cache.entry_path(3, 2).parent.name == f"v{FORMAT_VERSION}"
+    assert cache.entry_path(3, 2).parent.name == f"v{FORMAT_VERSION}-a{ALGORITHM_VERSION}"
+
+
+@pytest.mark.parametrize("directory", ["v1", "v1-a0"])
+def test_entry_of_another_algorithm_version_is_a_miss(tmp_path, directory):
+    # a valid entry filed under the format alone, or under an earlier
+    # algorithm, is neither listed nor served
+    cache = ResultCache(tmp_path)
+    cache.put(3, 4, almost_commuting(3, 4))
+    other = tmp_path / directory
+    other.mkdir()
+    cache.entry_path(3, 4).rename(other / cache.entry_path(3, 4).name)
+    assert cache.entries() == []
+    assert cache.get(3, 4) is None
 
 
 def test_env_var_controls_root(tmp_path, monkeypatch):

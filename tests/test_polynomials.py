@@ -26,6 +26,7 @@ from diffops.polynomials import (
     VarId,
     c,
     c_id,
+    substitute,
     u,
     u_id,
     y,
@@ -129,6 +130,11 @@ class TestEvaluate:
 
     def test_derivatives_of_assignment(self):
         assert y(2, 2).evaluate({2: u(3)}) == u(3, 2)
+        # chains that end early: a derivative of a constant or of zero
+        three = DiffPolynomial.constant(3)
+        assert y(2, 2).evaluate({2: three}) == 0
+        assert (u(2) * y(2) * y(2, 1)).evaluate({2: three}) == 0
+        assert y(3, 1).evaluate({3: DiffPolynomial.zero()}) == 0
 
     def test_identity_on_u(self):
         assert u(2).evaluate({}) == u(2)
@@ -157,6 +163,23 @@ class TestEvaluate:
     def test_products_of_y_powers(self):
         p = y(2) ** 2 * u(2)
         assert p.evaluate({2: u(3)}) == u(3) ** 2 * u(2)
+        assert (y(2) ** 2).evaluate({2: DiffPolynomial.constant(3)}) == 9
+
+    def test_assignments_keep_no_derivative_chain(self):
+        # the stream cuts the chains it grew on its assignments to what later
+        # polynomials use, and drops them after the last polynomial, after an
+        # IncompleteSolutionError, and when the consumer stops early
+        q = u(2) * u(3) + u(4, 1)
+        assert (y(2, 3) * y(2)).evaluate({2: q}) == q.derive(3) * q
+        assert q._derivs is None
+        with pytest.raises(IncompleteSolutionError):
+            (y(2, 3) + y(5)).evaluate({2: q})
+        assert q._derivs is None
+        stream = substitute([y(2, 3), y(2, 1)], {2: q})
+        assert next(stream) == q.derive(3)
+        assert q._derivs == [q._nums, q.derive()._nums]
+        stream.close()
+        assert q._derivs is None
 
 
 class TestCanonicalForm:
