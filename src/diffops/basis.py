@@ -35,7 +35,8 @@ from .polynomials import DiffPolynomial, IncompleteSolutionError, substitute, u,
 
 # The version of the algorithm behind every result: bump it whenever the
 # solve or the substitution changes any output, so that the result cache
-# never serves what an earlier version computed.
+# never serves what an earlier version computed (tests/test_cache.py pins
+# the results of each version).
 ALGORITHM_VERSION = 1
 
 

@@ -56,12 +56,6 @@ class DiffOperator:
         return cls({0: _ONE_POLY})
 
     @classmethod
-    def d(cls, power: int = 1) -> "DiffOperator":
-        if power < 0:
-            raise ValueError("negative powers of d are not operators")
-        return cls({power: _ONE_POLY})
-
-    @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "DiffOperator":
         return cls.from_dict(dict(enumerate(coeffs)))
 
@@ -155,8 +149,9 @@ class DiffOperator:
     def evaluate(self, assignments: Mapping) -> "DiffOperator":
         """Coefficient-wise differential substitution of y-variables.
 
-        All coefficients run as one stream through ``substitute``, so each
-        q_l^{(k)} is derived once for the whole operator.
+        Accepts coefficients linear in the y-variables.  All of them run
+        as one stream through ``substitute``, so each q_l^{(k)} is derived
+        once for the whole operator.
         """
         polys = substitute(list(self._coeffs.values()), assignments)
         return DiffOperator({i: c for i, c in zip(self._coeffs, polys) if c})

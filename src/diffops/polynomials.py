@@ -15,8 +15,7 @@ zero, and the zero polynomial has ``den == 1``.  So two polynomials are
 equal exactly when their numerator dicts and denominators are, and every
 hot loop (products, derivation, substitution) runs on Python ints.
 Rationals (``fractions.Fraction``) appear only at the boundary:
-``items()``, ``coefficient()``, the rational constructor and scalar
-arguments.
+``items()``, the rational constructor and scalar arguments.
 
 Monomial keys.  A key is a monomial's packed exponent vector, one int.  A
 process-wide slot table gives each variable, the first time any monomial
@@ -35,7 +34,7 @@ blocks of their own, so the keys of the long-lived u-monomials stay short
 (an int's size is that of its highest field).  The table only grows, by
 one slot per distinct variable; it is the one state of this module that
 outlives a call.  Only this module builds or takes keys apart: ``items()``,
-``coefficient()``, ``sorted_terms()``, the constructors and pickles speak
+``sorted_terms()``, the constructors and pickles speak
 the canonical form of a monomial, a tuple of ``(VarId, exp)`` pairs
 sorted by VarId, with no zero exponent (``()`` is the monomial 1).  So
 slot numbers never reach an output, and no result depends on the order
@@ -46,10 +45,12 @@ A polynomial may also carry ``_derivs``, its derivative chain
 ``_derivatives`` grows a chain, and no other module touches ``_derivs``.
 ``operators.leibniz_product`` grows the chains of its right factors and
 leaves them on the polynomial, so a right factor multiplied again is not
-derived again.  ``substitute`` grows the chain of each assigned q_l, cuts
-it after each polynomial of its stream to the orders of y_l that later
-ones use, and drops it (None) after the last one or when the stream stops
-early, so no q_l^{(k)} outlives the stream.
+derived again.  ``substitute`` takes polynomials linear in the y's,
+``const + sum A_(l,k) y_l^{(k)}`` (ValueError otherwise).  It grows the
+chain of each assigned q_l, cuts it after each polynomial of its stream
+to the orders of y_l that later ones use, and drops it (None) after the
+last one or when the stream stops early, so no q_l^{(k)} outlives the
+stream.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 import threading
 from functools import reduce
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -297,12 +298,6 @@ def _acc(out: dict, mono: int, coeff) -> None:
             del out[mono]
 
 
-def _mul_raw(a: dict, b: dict) -> dict:
-    out: dict = {}
-    _mul_into(out, a, b, 1)
-    return out
-
-
 def _mul_into(dst: dict, a: dict, b: dict, scale: int) -> None:
     """dst += scale * a * b on numerator dicts; OverflowError when an
     exponent of dst would exceed MAX_EXPONENT."""
@@ -500,13 +495,6 @@ class DiffPolynomial:
     def __len__(self) -> int:
         return len(self._nums)
 
-    def coefficient(self, mono: Mono):
-        return Rational(self._nums.get(_pack(mono), 0), self._den)
-
-    def variables(self) -> set:
-        # a field of the OR of all keys is nonzero when one key's is
-        return {_VARS[slot] for slot, _ in _unpack(reduce(or_, self._nums, 0))}
-
     def has_family(self, family: int) -> bool:
         return bool(reduce(or_, self._nums, 0) & _FAMILY_FIELDS[family])
 
@@ -564,9 +552,9 @@ class DiffPolynomial:
 
     def __mul__(self, other) -> "DiffPolynomial":
         if isinstance(other, DiffPolynomial):
-            return DiffPolynomial.from_nums(
-                _mul_raw(self._nums, other._nums), self._den * other._den
-            )
+            nums: dict = {}
+            _mul_into(nums, self._nums, other._nums, 1)
+            return DiffPolynomial.from_nums(nums, self._den * other._den)
         try:
             num, den = _ratio_of(other)
         except (TypeError, ValueError):
@@ -605,6 +593,7 @@ class DiffPolynomial:
     def evaluate(self, assignments: Mapping) -> "DiffPolynomial":
         """Differential substitution y_l^{(k)} -> derive(assignments[l], k).
 
+        Accepts polynomials linear in the y-variables (see ``substitute``);
         u- and c-variables pass through unchanged.  ``assignments`` maps
         the integer index l of each y-variable to a DiffPolynomial, as the
         solution of ``solve_triangular``.  A stream of one polynomial
@@ -664,6 +653,12 @@ def _normal_form(nums: dict, den: int) -> tuple:
 def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterator[DiffPolynomial]:
     """Yield ``p.evaluate(assignments)`` for each p of ``polys`` in turn.
 
+    Each p must be linear in the y-variables, as the bracket system is:
+    read once as ``(const + sum A_(l,k) y_l^{(k)}) / den``, it becomes
+    const plus one product A_(l,k) * q_l^{(k)} per (l, k).  A monomial
+    with two y-factors or a squared one raises ValueError before any
+    assignment is read.
+
     Each q_l^{(k)} comes from the chain ``_derivatives`` keeps on q_l, so
     each (l, k) is derived at most once per stream.  After each
     polynomial the stream cuts q_l's chain to the highest order of y_l
@@ -676,24 +671,29 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterato
     does.
     """
     y_fields = _FAMILY_FIELDS[Y_FAMILY]
-    # pending, last polynomial first: (split, den, keep), where split has
-    # one (key without y-factors, coeff, [VarId per y-factor]) per monomial
-    # and keep maps l to the highest order of y_l in the later polynomials
+    # pending, last polynomial first: (const, table, den, keep) for the
+    # polynomial (const + sum table[v] * v) / den over y-variables v, and
+    # keep maps l to the highest order of y_l in the later polynomials
     pending: list = []
     later: dict = {}
     for poly in reversed(polys):
         keep = dict(later)
-        split = []
+        const: dict = {}
+        table: dict = {}
         for key, coeff in poly._nums.items():
             ys = key & y_fields
-            factors = []
-            for slot, exp in _unpack(ys):
-                vid = _VARS[slot]
-                if later.get(vid.index, -1) < vid.order:
-                    later[vid.index] = vid.order
-                factors += [vid] * exp
-            split.append((key - ys, coeff, factors))
-        pending.append((split, poly._den, keep))
+            if not ys:
+                const[key] = coeff
+                continue
+            shift = ys.bit_length() - 1
+            if ys != 1 << shift or shift % _W:
+                monomial = DiffPolynomial.from_nums({key: 1}, 1)
+                raise ValueError(f"substitution is linear in the y's; it cannot take {monomial}")
+            table.setdefault(_VARS[shift // _W], {})[key - ys] = coeff
+        for _, l, k in table:
+            if later.get(l, -1) < k:
+                later[l] = k
+        pending.append((const, table, poly._den, keep))
     del polys  # the stream may be the only holder of the input list
     used: dict = {}  # l -> q_l, for each l whose chain the stream holds
 
@@ -708,21 +708,14 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterato
 
     try:
         while pending:
-            split, poly_den, keep = pending.pop()
-            # each monomial's factors, and the product of their denominators
-            rows = []
-            for head, coeff, ys in split:
-                factors = [replacement(vid) for vid in ys]
-                rows.append((head, coeff, factors, prod(den for _, den in factors)))
-            common = lcm(*(row[3] for row in rows))
-            out: dict = {}
-            for head, coeff, factors, den in rows:
-                nums = {head: coeff * (common // den)}
-                for q, _ in factors[:-1]:
-                    nums = _mul_raw(nums, q)
-                # the last factor goes straight into ``out``
-                _mul_into(out, nums, factors[-1][0] if factors else {0: 1}, 1)
-            del rows  # else it holds the derivatives cut below while the stream waits
+            const, table, poly_den, keep = pending.pop()
+            # (A_(l,k), q_l^(k), q_l's denominator) per y-variable y_l^(k)
+            terms = [(a, *replacement(vid)) for vid, a in table.items()]
+            common = lcm(*(den for _, _, den in terms))
+            out = {key: coeff * common for key, coeff in const.items()}
+            for a, q_k, den in terms:
+                _mul_into(out, a, q_k, common // den)
+            del terms  # else it holds the derivatives cut below while the stream waits
             for l, q in list(used.items()):
                 if l in keep:
                     q._derivs = (q._derivs or [q._nums])[: keep[l] + 1]

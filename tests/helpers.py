@@ -21,6 +21,11 @@ def mono_sort_key(mono: tuple):
     return (-weight, mono)
 
 
+def D(power: int = 1) -> DiffOperator:
+    """The operator d^power."""
+    return DiffOperator.from_dict({power: 1})
+
+
 def with_equation(system: BracketSystem, index: int, extra) -> BracketSystem:
     """``system`` with ``extra`` added to the equation for y_index."""
     equations = list(system.equations)
@@ -38,7 +43,7 @@ def check_total_derivative(f: DiffPolynomial, indices) -> DiffPolynomial:
     is not in A, and E_{u_l}(f) = 0 for every l in ``indices``."""
     a = antiderivative(f)
     assert a.derive() == f
-    assert a.coefficient(()) == 0
+    assert () not in dict(a.items())
     for l in indices:
         assert not euler(f, l), l
     return a

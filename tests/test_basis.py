@@ -20,9 +20,8 @@ from diffops.integration import NotTotalDerivativeError, euler
 from diffops.operators import DiffOperator, commutator
 from diffops.polynomials import Y_FAMILY, u, y
 from diffops.pseudo import TruncatedPDO, nth_root
-from helpers import check_total_derivative, with_equation
+from helpers import D, check_total_derivative, with_equation
 
-D = DiffOperator.d
 
 
 class TestGenericOperators:
@@ -166,9 +165,10 @@ class TestSolveTriangular:
         assert seen == [2, 3, 4]
 
     def test_h_matches_the_per_call_substitution(self):
-        # the stream's H against a second route: the negated low band
-        # d^0..d^(n-2), substituted by DiffOperator.evaluate in a stream of
-        # its own after the solve; n | m included, where every H vanishes
+        # the solve's H against a separate stream of the same substitution:
+        # the negated low band d^0..d^(n-2), substituted by
+        # DiffOperator.evaluate after the solve; n | m included, where every
+        # H vanishes.  The independent check of H is TestHierarchyOracle.
         for n in range(2, 8):
             for m in sorted({1, 2, 3, n, n + 1, 2 * n - 1, 2 * n}):
                 system = bracket_system(n, m)
@@ -309,9 +309,10 @@ class TestSubstitution:
             band = [system.full_bracket.coefficient_at(i) for i in range(n - 1)]
             highest: dict = {}
             for coeff in integrands + band:
-                for vid in coeff.variables():
-                    if vid.family == Y_FAMILY:
-                        highest[vid.index] = max(highest.get(vid.index, 0), vid.order)
+                for mono, _ in coeff.items():
+                    for vid, _ in mono:
+                        if vid.family == Y_FAMILY:
+                            highest[vid.index] = max(highest.get(vid.index, 0), vid.order)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(polynomials, "_derive_raw", counting)

@@ -445,6 +445,26 @@ def test_version_directory_layout(tmp_path):
     assert cache.entry_path(3, 2).parent.name == f"v{FORMAT_VERSION}-a{ALGORITHM_VERSION}"
 
 
+# ALGORITHM_VERSION -> SHA-256 of the canonical result JSON over
+# ALGORITHM_GRID, in that order.  A change that alters any result bumps the
+# version and adds its digest as a new key; the old keys stay.
+ALGORITHM_DIGESTS = {
+    1: "98864adc62405ab689692536986481411f65d1713f614ef0d382ae5d9db37368",
+}
+ALGORITHM_GRID = [(n, m) for n in range(2, 6) for m in range(1, 10)] + [(7, 13)]
+
+
+def test_algorithm_version_pins_its_results():
+    # fails when the results change under the same version, and when the
+    # version changes while the results do not
+    assert ALGORITHM_VERSION == max(ALGORITHM_DIGESTS)
+    assert len(set(ALGORITHM_DIGESTS.values())) == len(ALGORITHM_DIGESTS)
+    digest = hashlib.sha256()
+    for n, m in ALGORITHM_GRID:
+        digest.update(canonical_json_bytes(result_to_json(almost_commuting(n, m))))
+    assert digest.hexdigest() == ALGORITHM_DIGESTS[ALGORITHM_VERSION]
+
+
 @pytest.mark.parametrize("directory", ["v1", "v1-a0"])
 def test_entry_of_another_algorithm_version_is_a_miss(tmp_path, directory):
     # a valid entry filed under the format alone, or under an earlier

@@ -9,9 +9,8 @@ from diffops.basis import bracket_system, generic_L
 from diffops.operators import DiffOperator, commutator, leibniz_product
 from diffops.polynomials import DiffPolynomial, NotHomogeneousError, u, u_id, y
 from diffops.pseudo import nth_root
-from helpers import random_homogeneous, random_normal_form, random_operator, random_poly
+from helpers import D, random_homogeneous, random_normal_form, random_operator, random_poly
 
-D = DiffOperator.d
 
 
 def op(coeffs: dict) -> DiffOperator:
@@ -25,7 +24,6 @@ def L3() -> DiffOperator:
 @pytest.mark.parametrize(
     "build, message",
     [
-        pytest.param(lambda: DiffOperator.d(-1), "negative powers of d", id="d-negative"),
         pytest.param(
             lambda: DiffOperator.from_dict({-1: u(2)}),
             "negative power in differential operator",

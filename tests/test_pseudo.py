@@ -13,8 +13,8 @@ from diffops.pseudo import (
     TruncatedPDO,
     nth_root,
 )
+from helpers import D
 
-D = DiffOperator.d
 ONE = DiffPolynomial.one()
 THIRD = Rational(1, 3)
 
@@ -90,7 +90,7 @@ class TestNthRoot:
 
     def test_root_of_pure_power_is_d(self):
         for n in (2, 3, 5):
-            q = nth_root(DiffOperator.d(n), 4)
+            q = nth_root(D(n), 4)
             assert q.coefficient_at(1) == ONE
             for power in range(-4, 1):
                 assert not q.coefficient_at(power)
@@ -122,7 +122,7 @@ class TestNthRoot:
         with pytest.raises(ValueError):
             nth_root(DiffOperator.from_dict({2: 1, 1: u(2)}), 2)
         with pytest.raises(ValueError):
-            nth_root(DiffOperator.d(1), 2)
+            nth_root(D(), 2)
 
 
     def test_root_and_powers_derive_each_dict_once(self, monkeypatch):
