@@ -211,7 +211,11 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
 
 
 def leibniz_product(
-    a: Mapping[int, DiffPolynomial], b: Mapping[int, DiffPolynomial], keep_low: int
+    a: Mapping[int, DiffPolynomial],
+    b: Mapping[int, DiffPolynomial],
+    keep_low: int,
+    top: int | None = None,
+    kept: dict | None = None,
 ) -> dict:
     """The coefficients of (sum_i a[i] d^i)(sum_j b[j] d^j) on powers >= keep_low.
 
@@ -219,52 +223,79 @@ def leibniz_product(
     coefficients.  Each d^i b[j] expands as sum_s C(i,s) b[j]^{(s)} d^{i-s};
     C(i,s) is the generalized binomial, an integer for every integer i, so
     for i >= 0 the sum stops after s = i and for i < 0 it is cut at
-    keep_low.  Returns ``{power: coefficient}``; a coefficient may be zero.
+    keep_low.  Returns ``{power: coefficient}``, on powers <= ``top`` only
+    when it is given; a coefficient may be zero.
 
-    For each left power i, the terms C(i,s) b[j]^{(s)} that land on one
-    output power p = i + j - s are summed first, and a[i] multiplies that
-    sum once.  In a homogeneous operator they all have one weight, so
-    their monomials overlap and the sum is much shorter than its parts.
-    The integers are only reassociated, so the result is unchanged.  The
-    chain b[j], b[j]', b[j]'', ... comes from ``polynomials._derivatives``,
-    which keeps it on the polynomial b[j]: a right factor used again (the
-    root in every product Q^m, the known root coefficients in every
-    ``nth_root`` step) is derived only past the depth an earlier product
-    reached.
+    a[i] multiplies ``_right_sums(b, db, i, ...)`` once per output power.
+    ``kept``, a dict the caller keeps with ``b`` (and passes with ``top``
+    None), keeps those sums per left power i on the powers p > keep_low: a
+    sum at p >= keep_low does not depend on keep_low, so a later call at a
+    higher cut, as each product Q^(m-1) Q of a root's powers is, finds all
+    it needs there, and a call at a cut as low or lower forms only the
+    powers below the kept ones.  Entries are replaced, never mutated, so
+    callers in several threads need no lock.
     """
     # every product coefficient is a numerator dict over da * db
     da = lcm(*(ai._den for ai in a.values()))
     db = lcm(*(bj._den for bj in b.values()))
     out: dict = {}
     for i, ai in a.items():
-        # p -> [(b[j]^{(s)}, C(i,s) * db / den_j)] over all j and s
-        parts: dict = {}
-        for j, bj in b.items():
-            smax = i + j - keep_low
-            if smax < 0:
-                continue
-            if 0 <= i < smax:
-                smax = i  # C(i, s) = 0 for s > i
-            derivs = _derivatives(bj, smax)
-            scale = db // bj._den
-            coef = 1  # C(i, s)
-            for s in range(min(smax, len(derivs) - 1) + 1):
-                if s:
-                    coef = coef * (i - s + 1) // s
-                if derivs[s]:
-                    parts.setdefault(i + j - s, []).append((derivs[s], coef * scale))
+        cut, sums = kept.get(i, (None, None)) if kept is not None else (None, None)
+        if cut is None:
+            sums = _right_sums(b, db, i, keep_low, top)
+        elif cut > keep_low:
+            sums = {**_right_sums(b, db, i, keep_low, cut - 1), **sums}
+        if kept is not None:
+            kept[i] = (keep_low + 1, {p: part for p, part in sums.items() if p > keep_low})
         scale = da // ai._den
-        for p, terms in parts.items():
-            if len(terms) == 1:
-                nums, coef = terms[0]
-            else:
-                nums, coef = {}, 1
-                for deriv, c in terms:
-                    for mono, num in deriv.items():
-                        _acc(nums, mono, num * c)
-            if nums:
+        for p, (nums, coef) in sums.items():
+            if p >= keep_low:
                 _mul_into(out.setdefault(p, {}), ai._nums, nums, coef * scale)
     return {p: DiffPolynomial.from_nums(nums, da * db) for p, nums in out.items()}
+
+
+def _right_sums(
+    b: Mapping[int, DiffPolynomial], db: int, i: int, low: int, high: int | None = None
+) -> dict:
+    """The part of d^i (sum_j b[j] d^j) at each power p in [low, high].
+
+    Returns ``{p: (nums, coef)}`` with nonzero ``nums * coef / db`` equal
+    to S(i,p) = sum_{j,s: i+j-s=p} C(i,s) b[j]^{(s)}; ``db`` is a multiple
+    of every b[j]'s denominator.  In a homogeneous operator the terms of
+    one S(i,p) all have one weight, so their monomials overlap and the sum
+    is much shorter than its parts; a single term is passed on unsummed.
+    The chain b[j], b[j]', b[j]'', ... comes from
+    ``polynomials._derivatives``, which keeps it on the polynomial b[j]: a
+    right factor used again is derived only past the depth reached before.
+    """
+    # p -> [(b[j]^{(s)}, C(i,s) * db / den_j)] over all j and s
+    parts: dict = {}
+    for j, bj in b.items():
+        smax = i + j - low
+        if smax < 0:
+            continue
+        if 0 <= i < smax:
+            smax = i  # C(i, s) = 0 for s > i
+        derivs = _derivatives(bj, smax)
+        scale = db // bj._den
+        coef = 1  # C(i, s)
+        for s in range(min(smax, len(derivs) - 1) + 1):
+            if s:
+                coef = coef * (i - s + 1) // s
+            if derivs[s] and (high is None or i + j - s <= high):
+                parts.setdefault(i + j - s, []).append((derivs[s], coef * scale))
+    sums: dict = {}
+    for p, terms in parts.items():
+        if len(terms) == 1:
+            sums[p] = terms[0]
+            continue
+        nums: dict = {}
+        for deriv, c in terms:
+            for mono, num in deriv.items():
+                _acc(nums, mono, num * c)
+        if nums:
+            sums[p] = (nums, 1)
+    return sums
 
 
 def operator_weight(terms: Mapping[int, DiffPolynomial]) -> int | None:

@@ -715,7 +715,8 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterato
             out = {key: coeff * common for key, coeff in const.items()}
             for a, q_k, den in terms:
                 _mul_into(out, a, q_k, common // den)
-            del terms  # else it holds the derivatives cut below while the stream waits
+            # else they hold the derivatives cut below while the stream waits
+            terms = a = q_k = den = None
             for l, q in list(used.items()):
                 if l in keep:
                     q._derivs = (q._derivs or [q._nums])[: keep[l] + 1]

@@ -10,6 +10,11 @@ One depth rule governs every product: a b is known on the powers
 the unknown tail of either factor can reach.  A product truncated at a
 caller-chosen power at or above that bound equals the untruncated
 product there; below it the multiplication refuses to proceed.
+
+Neither the root nor its powers repeat work: ``nth_root`` forms each
+coefficient of Q^2, ..., Q^n once, and a right factor keeps the sums of
+d^i times itself that its products formed, so every product Q^(m-1) Q
+after the first reuses those of the products before it.
 """
 
 from __future__ import annotations
@@ -37,10 +42,13 @@ class TruncatedPDO:
 
     Coefficients below ``low`` are unknown, also when they would be zero:
     asking for one raises InsufficientDepthError, and a product is known
-    only as far as the module's depth rule allows.
+    only as far as the module's depth rule allows.  As a right factor it
+    keeps the sums ``leibniz_product`` forms for it (``kept``), so the
+    products Q^(m-1) Q of a root reuse them; they live with the operator
+    and take no part in ``==`` or rendering.
     """
 
-    __slots__ = ("_top", "_low", "_coeffs")
+    __slots__ = ("_top", "_low", "_coeffs", "_sums")
 
     def __init__(self, coeffs: Mapping[int, DiffPolynomial], top: int, low: int):
         if low > top:
@@ -50,6 +58,7 @@ class TruncatedPDO:
             raise ValueError("coefficient outside the retained range")
         self._top = top
         self._low = low
+        self._sums: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -113,7 +122,7 @@ class TruncatedPDO:
                 f"right factor retained to d^{other._low}: product coefficients below "
                 f"d^{self._top + other._low} are not exact (requested d^{keep_low})"
             )
-        coeffs = leibniz_product(self._coeffs, other._coeffs, keep_low)
+        coeffs = leibniz_product(self._coeffs, other._coeffs, keep_low, kept=other._sums)
         top = self._top + other._top
         return TruncatedPDO(coeffs, top=top, low=min(keep_low, top))
 
@@ -163,11 +172,17 @@ class TruncatedPDO:
 def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
     """The monic n-th root Q = d + q_{-1} d^{-1} + ... of a normal-form L.
 
-    Coefficients are found by matching Q^n against L: the coefficient
-    equation at d^{n-1-t} is linear in q_{-t} with constant factor n, so
-    the system is triangular and solved by direct recursion.  Q is again
-    in normal form (zero d^0 term) and each q_{-t} is homogeneous of
-    weight t + 1.
+    Coefficients are found one at a time by matching Q^n against L.  The
+    coefficient of Q^j at d^{j-1-t} is c_j + j q_{-t}, where c_j depends on
+    q_{-1}, ..., q_{1-t} only: q_{-t} d^{-t} reaches that power only times
+    the leading d of the other j - 1 factors, once per position.  Step t
+    forms c_2, ..., c_n in turn, c_j as the coefficient of Q^{j-1} Q at
+    d^{j-1-t} with q_{-t} still 0, which reads Q^{j-1} down to the entry
+    c_{j-1} just formed.  Then q_{-t} = (L_{n-1-t} - c_n) / n, and
+    Q^2, ..., Q^{n-1} keep c_j + j q_{-t}.  So each coefficient of every
+    power is formed once, and the n - 2 power tables end with the call.
+    Q is again in normal form (zero d^0 term) and each q_{-t} is
+    homogeneous of weight t + 1.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -177,17 +192,19 @@ def nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
     if not op.is_normal_form():
         raise ValueError("operator must be monic and in normal form")
     found: dict = {1: _ONE_POLY}
+    # the coefficients of Q, Q^2, ..., Q^(n-1) known so far
+    tables = [found] + [{j: _ONE_POLY} for j in range(2, n)]
     for t in range(1, depth + 1):
-        target = n - 1 - t
-        # q_{-t} is not found yet, so ``known`` holds 0 at d^-t; depth t is
-        # what power(n, t + 1 - n) needs (tail + exponent - 1 = t).  In Q^n,
-        # q_{-t} reaches the target only as q_{-t} d^-t times the leading
-        # d of the other n - 1 factors, once per position, so the power
-        # misses exactly n * q_{-t} at the target.
-        known = TruncatedPDO(found, top=1, low=-t)
-        acc = known.power(n, t + 1 - n)
-        mismatch = op.coefficient_at(target) - acc.coefficient_at(target)
-        q_t = mismatch / n
+        formed = []
+        for j in range(2, n + 1):
+            p = j - 1 - t
+            c = leibniz_product(tables[j - 2], found, p, p).get(p, _ZERO_POLY)
+            formed.append(c)
+            if j < n and c:
+                tables[j - 1][p] = c
+        q_t = (op.coefficient_at(n - 1 - t) - c) / n
         if q_t:
             found[-t] = q_t
+            for j, c in enumerate(formed[:-1], 2):
+                tables[j - 1][j - 1 - t] = c + q_t * j
     return TruncatedPDO(found, top=1, low=-depth)

@@ -10,8 +10,9 @@ import random
 from diffops._ratio import Rational
 from diffops.basis import BracketSystem
 from diffops.integration import antiderivative, euler
-from diffops.operators import DiffOperator
+from diffops.operators import _ONE_POLY, DiffOperator
 from diffops.polynomials import DiffPolynomial, u_id
+from diffops.pseudo import TruncatedPDO
 
 
 def mono_sort_key(mono: tuple):
@@ -24,6 +25,29 @@ def mono_sort_key(mono: tuple):
 def D(power: int = 1) -> DiffOperator:
     """The operator d^power."""
     return DiffOperator.from_dict({power: 1})
+
+
+def reference_nth_root(op: DiffOperator, depth: int) -> TruncatedPDO:
+    """``nth_root`` by direct recursion on whole powers: at each step t the
+    n-th power of the known part of the root, truncated at d^(n-1-t), is
+    formed anew and misses exactly n * q_{-t} there.  Argument checks are
+    left to ``nth_root``."""
+    n = op.order
+    found: dict = {1: _ONE_POLY}
+    for t in range(1, depth + 1):
+        target = n - 1 - t
+        # q_{-t} is not found yet, so ``known`` holds 0 at d^-t; depth t is
+        # what power(n, t + 1 - n) needs (tail + exponent - 1 = t).  In Q^n,
+        # q_{-t} reaches the target only as q_{-t} d^-t times the leading
+        # d of the other n - 1 factors, once per position, so the power
+        # misses exactly n * q_{-t} at the target.
+        known = TruncatedPDO(found, top=1, low=-t)
+        acc = known.power(n, t + 1 - n)
+        mismatch = op.coefficient_at(target) - acc.coefficient_at(target)
+        q_t = mismatch / n
+        if q_t:
+            found[-t] = q_t
+    return TruncatedPDO(found, top=1, low=-depth)
 
 
 def with_equation(system: BracketSystem, index: int, extra) -> BracketSystem:

@@ -192,6 +192,20 @@ class TestEvaluate:
         stream.close()
         assert q._derivs is None
 
+    def test_waiting_stream_holds_no_cut_derivative(self):
+        # while the stream waits at its yield, no local of its frame may hold
+        # a derivative of q_2 that the chain no longer keeps; the first
+        # polynomial has no y, so its loop runs over no term
+        q = u(2) * u(3) + u(4, 1)
+        cut = [q.derive(k)._nums for k in (1, 2, 3)]
+        stream = substitute([u(2), u(3) * y(2, 3), u(2) * y(2)], {2: q})
+        assert next(stream) == u(2)
+        assert next(stream) == u(3) * q.derive(3)
+        assert q._derivs == [q._nums]
+        for name, value in stream.gi_frame.f_locals.items():
+            assert not (isinstance(value, dict) and value in cut), name
+        stream.close()
+
 
 class TestCanonicalForm:
     def test_no_zero_coefficients_stored(self):

@@ -1,5 +1,8 @@
 """Truncated pseudo-differential calculus: roots, powers, positive parts."""
 
+import random
+import sys
+import threading
 from math import comb
 
 import pytest
@@ -13,7 +16,7 @@ from diffops.pseudo import (
     TruncatedPDO,
     nth_root,
 )
-from helpers import D
+from helpers import D, reference_nth_root
 
 ONE = DiffPolynomial.one()
 THIRD = Rational(1, 3)
@@ -118,6 +121,18 @@ class TestNthRoot:
                 assert coeff.weight() == j + 1
         assert q.weight() == 1
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_root_matches_whole_power_recursion(self, n):
+        for depth in range(9):
+            assert nth_root(L(n), depth) == reference_nth_root(L(n), depth), depth
+
+    def test_root_forms_no_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nth_root multiplied whole operators")
+
+        monkeypatch.setattr(TruncatedPDO, "mul_keep_low", refuse)
+        assert nth_root(L(4), 6).depth == 6
+
     def test_rejects_non_normal_form(self):
         with pytest.raises(ValueError):
             nth_root(DiffOperator.from_dict({2: 1, 1: u(2)}), 2)
@@ -137,11 +152,13 @@ class TestNthRoot:
             return original(terms)
 
         monkeypatch.setattr(polynomials, "_derive_raw", counting)
-        root = nth_root(L(3), 13)
-        for _ in root.powers(14):
-            pass
-        assert derived
-        assert len(set(derived)) == len(derived)
+        for n in (3, 7):
+            derived.clear()
+            root = nth_root(L(n), 13)
+            for _ in root.powers(14):
+                pass
+            assert derived, n
+            assert len(set(derived)) == len(derived), n
 
 
 class TestWeight:
@@ -215,6 +232,90 @@ class TestPower:
             shallow = nth_root(L(3), m - 1).power(m).positive_part()
             deep = nth_root(L(3), m + 2).power(m).positive_part()
             assert shallow == deep
+
+
+class TestReusedSums:
+    # a right factor keeps the sums of d^i times itself that its products
+    # formed; at any later cut they must give what an equal factor with no
+    # sums kept gives
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [(-4, -2, 0, 2), (2, 0, -2, -4), (-3, -3, 1, 1, -4, -4)],
+        ids=["rising", "falling", "repeated"],
+    )
+    def test_products_match_a_fresh_factor(self, cuts):
+        root = nth_root(L(3), 8)
+        lefts = [root, nth_root(L(3), 8).power(2, 5), as_pdo(L(3), -8)]
+        for k in cuts:
+            for left in lefts:
+                assert left.mul_keep_low(root, k) == left.mul_keep_low(nth_root(L(3), 8), k), (k, left)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_powers_and_product_loop_match_a_fresh_factor(self, n):
+        max_m = 9
+        root = nth_root(L(n), max_m - 1)
+        for e, t in [(max_m, 0), (max_m - 2, 2), (max_m - 2, 2), (4, 0), (max_m, 0)]:
+            assert list(root.powers(e, t)) == list(nth_root(L(n), max_m - 1).powers(e, t)), (e, t)
+        # the verify pipeline's loop: Q^m = Q^(m-1) Q, cut at -(max_m - m)
+        fresh = nth_root(L(n), max_m - 1)
+        q = q_fresh = root
+        for m in range(2, max_m + 1):
+            q = q.mul_keep_low(root, -(max_m - m))
+            q_fresh = q_fresh.mul_keep_low(fresh, -(max_m - m))
+            assert q == q_fresh, m
+            fresh = nth_root(L(n), max_m - 1)
+
+    def test_reused_factor_still_refuses_a_deep_cut(self):
+        root = nth_root(L(3), 3)
+        op = as_pdo(L(3), -6)
+        op.mul_keep_low(root, 2)
+        op.mul_keep_low(root, 0)
+        with pytest.raises(InsufficientDepthError, match=r"right factor retained to d\^-3"):
+            op.mul_keep_low(root, -1)
+
+    def test_kept_sums_change_neither_equality_nor_repr(self):
+        used, unused = nth_root(L(3), 4), nth_root(L(3), 4)
+        text = repr(used)
+        used.power(4, 1)
+        assert used._sums
+        assert used == unused
+        assert repr(used) == text == repr(unused)
+
+    def test_threads_sharing_one_root(self):
+        # more threads than cores multiply by one root, each at its own
+        # cuts in its own order; every product must equal the serial one
+        max_m = 9
+        root = nth_root(L(3), max_m - 1)
+        lefts = list(nth_root(L(3), max_m - 1).powers(max_m - 1))
+        jobs = [(j, k) for j in range(1, max_m) for k in range(j + 2 - max_m, j + 2)]
+        serial = {(j, k): lefts[j - 1].mul_keep_low(nth_root(L(3), max_m - 1), k) for j, k in jobs}
+        results: list = []
+        errors: list = []
+
+        def work(seed):
+            order = jobs * 3
+            random.Random(seed).shuffle(order)
+            try:
+                results.extend(((j, k), lefts[j - 1].mul_keep_low(root, k)) for j, k in order)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == 4 * 3 * len(jobs)
+        for job, product in results:
+            assert product == serial[job], job
 
 
 class TestDepthRule:
