@@ -1,7 +1,5 @@
-"""The exact rational type of the package boundary.
-
-Polynomials compute on integer numerators over one denominator; rationals
-are what the API reads and returns (coefficients and scalar arguments).
-"""
+"""``Rational = fractions.Fraction``, an alias that only perfbench imports
+(it records ``Rational`` as the rational type of its runs); the package
+names ``fractions.Fraction`` itself.  ROADMAP item 1b deletes this module."""
 
 from fractions import Fraction as Rational

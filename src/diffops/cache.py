@@ -110,6 +110,9 @@ class ResultCache:
             return None
 
     def put(self, n: int, m: int, result: AlmostCommutingResult) -> Path:
+        if (result.n, result.m) != (n, m):
+            # an entry that cache list shows and get(n, m) never serves
+            raise ValueError(f"result ({result.n}, {result.m}) put under key ({n}, {m})")
         # one dumps call runs the C encoder (dump streams through the
         # pure-Python one); sort_keys gives the layout get expects
         text = json.dumps(result_to_json(result), sort_keys=True).encode("ascii")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -54,13 +53,15 @@ def _at_least(minimum: int):
     return convert
 
 
-def _write(path: Path, content: str, quiet: bool) -> None:
+def _write(args, stem: str, content: str) -> None:
+    """Write ``content`` to ``{args.out}/{stem}.{ext of args.format}``."""
+    path = Path(args.out) / f"{stem}.{_EXTENSIONS[args.format]}"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(content)
         if not content.endswith("\n"):
             handle.write("\n")
-    if not quiet:
+    if not args.quiet:
         print(path)
 
 
@@ -70,19 +71,10 @@ def _write(path: Path, content: str, quiet: bool) -> None:
 def cmd_basis(args) -> int:
     cache = ResultCache()
     result = almost_commuting(args.n, args.m, cache=cache)
-    out = Path(args.out)
-    ext = _EXTENSIONS[args.format]
-    _write(
-        out / f"({args.n}_{args.m})[P].{ext}",
-        render_operator(result.P, args.format),
-        args.quiet,
-    )
+    key = f"({args.n}_{args.m})"
+    _write(args, f"{key}[P]", render_operator(result.P, args.format))
     for i, poly in enumerate(result.H):
-        _write(
-            out / f"({args.n}_{args.m})[H_{i}].{ext}",
-            render_poly(poly, args.format),
-            args.quiet,
-        )
+        _write(args, f"{key}[H_{i}]", render_poly(poly, args.format))
     return 0
 
 
@@ -110,15 +102,10 @@ def _render_flow(eq, fmt: str, stationary: bool) -> str:
 def cmd_hierarchy(args) -> int:
     cache = ResultCache()
     equations = gd_equations(args.n, args.m, with_constants=args.with_constants, cache=cache)
-    out = Path(args.out)
-    ext = _EXTENSIONS[args.format]
     suffix = "GD" if not args.stationary else "SGD"
     for eq in equations:
-        _write(
-            out / f"({args.n}_{args.m})[{suffix}_{eq.variable_index}].{ext}",
-            _render_flow(eq, args.format, args.stationary),
-            args.quiet,
-        )
+        flow = _render_flow(eq, args.format, args.stationary)
+        _write(args, f"({args.n}_{args.m})[{suffix}_{eq.variable_index}]", flow)
     return 0
 
 
@@ -126,15 +113,11 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_kdv(args) -> int:
-    sequence = kdv_sequence(args.m)
-    ext = _EXTENSIONS[args.format]
-    if args.out is None:
-        for j, poly in enumerate(sequence):
+    for j, poly in enumerate(kdv_sequence(args.m)):
+        if args.out is None:
             print(f"kdv_{j} = {render_poly(poly, args.format)}")
-        return 0
-    out = Path(args.out)
-    for j, poly in enumerate(sequence):
-        _write(out / f"kdv_{j}.{ext}", render_poly(poly, args.format), args.quiet)
+        else:
+            _write(args, f"kdv_{j}", render_poly(poly, args.format))
     return 0
 
 
@@ -194,29 +177,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = []
+    rows = [("n", "m", "seconds", "monomials")]
     for m in range(2, args.max_m + 1):
         if m % args.n == 0:
             continue
         t0 = time.perf_counter()
         result = almost_commuting(args.n, m)
         seconds = time.perf_counter() - t0
-        rows.append((args.n, m, seconds, result.P.monomials_total()))
+        rows.append((args.n, m, f"{seconds:.3f}", result.P.monomials_total()))
         if not args.quiet:
             print(f"(n={args.n}, m={m}): {seconds:.3f}s", file=sys.stderr)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["n", "m", "seconds", "monomials"])
-    for n, m, seconds, monomials in rows:
-        writer.writerow([n, m, f"{seconds:.3f}", monomials])
-    if args.csv:
-        path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(buffer.getvalue(), encoding="utf-8")
-        if not args.quiet:
-            print(path)
-    else:
-        sys.stdout.write(buffer.getvalue())
+    if not args.csv:
+        csv.writer(sys.stdout).writerows(rows)
+        return 0
+    path = Path(args.csv)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # newline="": the csv module ends each row with \r\n itself
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    if not args.quiet:
+        print(path)
     return 0
 
 

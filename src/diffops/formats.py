@@ -195,9 +195,14 @@ def operator_to_json(op: DiffOperator) -> dict:
 
 
 def operator_from_json(data: dict) -> DiffOperator:
-    return DiffOperator.from_coeffs(
-        poly_from_json(entry) for entry in data["coefficients"]
-    )
+    """The operator of an ``operator_to_json`` payload; ValueError, too, for
+    an order that is not the plain int coefficient count - 1 (None for no
+    coefficients) and for a zero top coefficient."""
+    order, coeffs = data["order"], data["coefficients"]
+    expected = len(coeffs) - 1 if coeffs else None
+    if type(order) is not type(expected) or order != expected or coeffs[-1:] == [[]]:
+        raise ValueError("non-canonical operator")
+    return DiffOperator.from_coeffs(poly_from_json(entry) for entry in coeffs)
 
 
 def result_to_json(result: AlmostCommutingResult) -> dict:

@@ -21,8 +21,8 @@ failure aborts loudly with the failing index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from ._ratio import Rational
 from .basis import almost_commuting
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator
@@ -59,9 +59,8 @@ def kdv_recursion_operator() -> RecursionOperator:
     Iterated from u_2' it generates kdv_j = (-1)^(j+1) H_(2j+1,0)|u_2->-u_2,
     where H_(2j+1,0) is the bracket flow [P_(2j+1), L] of L = d^2 + u_2.
     """
-    quarter = Rational(-1, 4)
-    local = DiffOperator.from_coeffs([u(2), DiffPolynomial.zero(), DiffPolynomial.constant(quarter)])
-    return RecursionOperator(local_part=local, nonlocal_cofactor=u(2, 1) * Rational(1, 2))
+    local = DiffOperator.from_dict({2: Fraction(-1, 4), 0: u(2)})
+    return RecursionOperator(local_part=local, nonlocal_cofactor=u(2, 1) * Fraction(1, 2))
 
 
 def gd_equations(n: int, m: int, with_constants: bool = True, cache=None) -> list:

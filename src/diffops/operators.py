@@ -5,7 +5,8 @@ sum_i a_i d^i with composition as multiplication, governed by the rule
 d r = r d + r'.  ``leibniz_product`` expands powers of d against a
 coefficient, d^i r = sum_s C(i,s) r^{(s)} d^{i-s}; it is the one product
 of this ring and of the truncated pseudo-differential operators, where
-i < 0 and C(i,s) is the generalized binomial.
+i < 0 and C(i,s) is the generalized binomial; ``apply`` reads an
+operator's action on f off the d^0 coefficient of its product with f.
 
 An operator is a sparse ``{power: nonzero coefficient}`` map in ascending
 power order.  The order is not cosmetic: ``leibniz_product`` walks both
@@ -61,9 +62,12 @@ class DiffOperator:
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, DiffPolynomial]) -> "DiffOperator":
-        """sum_i coeffs[i] d^i over powers in any order."""
-        if any(power < 0 for power in coeffs):
-            raise ValueError("negative power in differential operator")
+        """sum_i coeffs[i] d^i over powers in any order, each a plain int >= 0."""
+        for power in coeffs:
+            if type(power) is not int or power < 0:
+                raise ValueError(
+                    f"negative power in differential operator, or not an int: {power!r}"
+                )
         return cls(_ascending({p: _as_poly(c) for p, c in coeffs.items()}))
 
     # -- queries ---------------------------------------------------------
@@ -83,16 +87,11 @@ class DiffOperator:
         """(a_0, ..., a_order), zero coefficients included."""
         return tuple(map(self.coefficient_at, range(self.order + 1))) if self._coeffs else ()
 
-    def leading_coefficient(self) -> DiffPolynomial:
-        if not self._coeffs:
-            raise ValueError("the zero operator has no leading coefficient")
-        return self._coeffs[self.order]
-
     def is_normal_form(self) -> bool:
         """Monic with zero coefficient in degree order-1."""
         return (
             bool(self._coeffs)
-            and self.leading_coefficient() == _ONE_POLY
+            and self._coeffs[self.order] == _ONE_POLY
             and self.order - 1 not in self._coeffs
         )
 
@@ -136,15 +135,11 @@ class DiffOperator:
         return binary_power(self, exponent, DiffOperator.one())
 
     def apply(self, f: DiffPolynomial) -> DiffPolynomial:
-        """Act on a differential polynomial: sum_i a_i * f^{(i)}."""
-        out = DiffPolynomial.zero()
-        df, derived = f, 0
-        for i, coeff in self._coeffs.items():
-            for _ in range(i - derived):
-                df = df.derive()
-            derived = i
-            out = out + coeff * df
-        return out
+        """Act on a differential polynomial: sum_i a_i * f^{(i)}, the d^0
+        coefficient of self * f.  The product derives a copy of ``f`` over
+        the same numerators, so no derivative chain is left on ``f``."""
+        copy = DiffPolynomial.from_nums(f._nums, f._den)
+        return leibniz_product(self._coeffs, {0: copy}, 0, 0).get(0, _ZERO_POLY)
 
     def evaluate(self, assignments: Mapping) -> "DiffOperator":
         """Coefficient-wise differential substitution of y-variables.

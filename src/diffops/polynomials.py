@@ -56,13 +56,12 @@ stream.
 from __future__ import annotations
 
 import threading
+from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
-
-from ._ratio import Rational
 
 U_FAMILY = 0
 Y_FAMILY = 1
@@ -158,11 +157,26 @@ def _slot(vid) -> int:
     return _new_slot(VarId(*vid)) if slot is None else slot
 
 
+def _is_variable(vid: VarId) -> bool:
+    """Whether ``vid`` is a u or y of plain int index >= 2 and order >= 0,
+    or a c of order 0 indexed by a pair of plain ints (not ``True``, ``2.0``)."""
+    family, index, order = vid
+    if type(family) is not int or type(order) is not int or order < 0:
+        return False
+    if family == C_FAMILY:
+        return order == 0 and type(index) is tuple and len(index) == 2 and all(
+            type(i) is int for i in index
+        )
+    return family in (U_FAMILY, Y_FAMILY) and type(index) is int and index >= 2
+
+
 def _new_slot(vid: VarId) -> int:
     global _GUARD, _HALF
     with _SLOT_LOCK:
         slot = _SLOTS.get(vid)
         if slot is None:
+            if not _is_variable(vid):
+                raise ValueError(f"invalid variable {vid!r}")
             group = int(vid.family == Y_FAMILY)
             if _NEXT[group] == _END[group]:
                 _NEXT[group] = len(_VARS)
@@ -377,7 +391,7 @@ def _derivatives(poly: DiffPolynomial, top: int) -> list:
 def _ratio_of(value) -> tuple:
     """(numerator, denominator > 0) of a rational scalar, in lowest terms."""
     if not isinstance(value, int):
-        value = Rational(value)
+        value = Fraction(value)
     return value.numerator, value.denominator
 
 
@@ -397,9 +411,9 @@ class DiffPolynomial:
 
     def __init__(self, terms: Mapping | None = None):
         """sum c * mono over ``terms``, which maps monomials, as (VarId,
-        exp) pairs in any order, to anything ``Rational`` accepts; zero
+        exp) pairs in any order, to anything ``Fraction`` accepts; zero
         coefficients are dropped and monomials that are equal add up."""
-        terms = {mono: Rational(c) for mono, c in (terms or {}).items()}
+        terms = {mono: Fraction(c) for mono, c in (terms or {}).items()}
         den = lcm(*(c.denominator for c in terms.values()))
         nums: dict = {}
         for mono, c in terms.items():
@@ -444,7 +458,7 @@ class DiffPolynomial:
     def items(self) -> Iterator:
         """(canonical monomial, Fraction) pairs."""
         den = self._den
-        return ((_mono(m), Rational(c, den)) for m, c in self._nums.items())
+        return ((_mono(m), Fraction(c, den)) for m, c in self._nums.items())
 
     def sorted_terms(self, factor_str: Callable) -> list:
         """[(factors, num, den)] in canonical order (weight descending, then
@@ -516,7 +530,7 @@ class DiffPolynomial:
     # -- ring operations ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Rational)):
+        if isinstance(other, (int, Fraction)):
             other = DiffPolynomial.constant(other)
         if isinstance(other, DiffPolynomial):
             return self._den == other._den and self._nums == other._nums

@@ -5,7 +5,8 @@ H-labels follow the weight grading: H_{m,i} sits at d^i in [P_m, L] and is
 homogeneous of weight n + m - i.
 """
 
-from diffops._ratio import Rational as Q
+from fractions import Fraction as Q
+
 from diffops.operators import DiffOperator
 from diffops.polynomials import u, y
 

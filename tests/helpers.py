@@ -6,8 +6,8 @@ import dataclasses
 import functools
 import itertools
 import random
+from fractions import Fraction
 
-from diffops._ratio import Rational
 from diffops.basis import BracketSystem
 from diffops.integration import antiderivative, euler
 from diffops.operators import _ONE_POLY, DiffOperator
@@ -57,8 +57,8 @@ def with_equation(system: BracketSystem, index: int, extra) -> BracketSystem:
     return dataclasses.replace(system, equations=tuple(equations))
 
 
-def rand_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Rational:
-    return Rational(rng.randint(lo, hi), rng.randint(1, 6))
+def rand_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
 
 
 def check_total_derivative(f: DiffPolynomial, indices) -> DiffPolynomial:
@@ -111,7 +111,7 @@ def random_homogeneous(
     p = DiffPolynomial(terms)
     if nonzero and not p:
         mono = rng.choice(monos)
-        return DiffPolynomial({mono: Rational(rng.randint(1, 9))})
+        return DiffPolynomial({mono: Fraction(rng.randint(1, 9))})
     return p
 
 

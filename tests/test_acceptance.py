@@ -7,11 +7,11 @@ criterion.
 import random
 import time
 import warnings
+from fractions import Fraction as Q
 
 import pytest
 
 import golden
-from diffops._ratio import Rational as Q
 from diffops.basis import (
     almost_commuting,
     bracket_system,

@@ -7,7 +7,6 @@ import pytest
 
 import golden
 from diffops import polynomials
-from diffops._ratio import Rational as Q
 from diffops.basis import (
     NotTriangularError,
     almost_commuting,

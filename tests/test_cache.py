@@ -1,5 +1,6 @@
 """Result cache: round trips, checksum rejection, atomic writes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -496,14 +497,24 @@ def test_interrupted_write_leaves_no_readable_corruption(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", exploding_replace)
     try:
-        cache.put(3, 2, almost_commuting(3, 4))
+        # the same key with other bytes: every H doubled
+        cache.put(3, 2, dataclasses.replace(good, H=tuple(2 * h for h in good.H)))
     except RuntimeError:
         pass
     monkeypatch.undo()
     leftovers = [n for n in os.listdir(cache.version_dir) if n.endswith(".tmp")]
     assert leftovers == []
     survivor = cache.get(3, 2)
-    assert survivor is not None and survivor.P == good.P
+    assert survivor is not None and survivor.P == good.P and survivor.H == good.H
+
+
+def test_put_refuses_a_result_of_another_key(tmp_path):
+    # get(3, 5) would never serve the entry, but cache list would show it
+    cache = ResultCache(tmp_path)
+    with pytest.raises(ValueError, match=r"result \(3, 4\) put under key \(3, 5\)"):
+        cache.put(3, 5, almost_commuting(3, 4))
+    assert not cache.entry_path(3, 5).exists()
+    assert cache.entries() == []
 
 
 def test_concurrent_writers_converge(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 
 from diffops.cache import CACHE_ENV_VAR, ResultCache
 from diffops.cli import main
-from diffops.formats import operator_from_json, poly_from_json
+from diffops.formats import operator_from_json, poly_from_json, render_poly
+from diffops.hierarchy import kdv_sequence
 from diffops.polynomials import C_FAMILY, DiffPolynomial, u, y
 from helpers import with_equation
 
@@ -163,6 +164,13 @@ class TestKdvCommand:
             "kdv_0.txt", "kdv_1.txt", "kdv_2.txt",
         ]
 
+    def test_latex_files_are_the_rendered_polynomials(self, tmp_path):
+        assert run("kdv", "--m", "3", "--format", "latex", "--out", str(tmp_path),
+                   "--quiet") == 0
+        for j, poly in enumerate(kdv_sequence(3)):
+            content = (tmp_path / f"kdv_{j}.tex").read_text(encoding="utf-8")
+            assert content == render_poly(poly, "latex") + "\n"
+
 
 class TestVerifyCommand:
     # --max-m 1 is a root of depth 0 and the single power Q
@@ -211,6 +219,17 @@ class TestBenchCommand:
         assert [int(r["m"]) for r in rows] == [2, 4, 5, 7, 8, 10, 11, 13, 14]
         assert all(float(r["seconds"]) >= 0 for r in rows)
         assert all(int(r["monomials"]) > 0 for r in rows)
+
+    def test_csv_on_stdout(self, capsys):
+        assert run("bench", "--n", "3", "--max-m", "5", "--quiet") == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\r\n")
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["n", "m", "seconds", "monomials"]
+        assert [(r[0], r[1], r[3]) for r in rows[1:]] == [
+            ("3", "2", "2"), ("3", "4", "7"), ("3", "5", "9"),
+        ]
+        assert all(float(r[2]) >= 0 for r in rows[1:])
 
 
 class TestCacheCommand:

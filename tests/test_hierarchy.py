@@ -1,11 +1,11 @@
 """Flow equations, stationary constraints and the KdV recursion operator."""
 
 import random
+from fractions import Fraction as Q
 
 import pytest
 
 import golden
-from diffops._ratio import Rational as Q
 from diffops.basis import almost_commuting
 from diffops.hierarchy import gd_equations, kdv_recursion_operator, kdv_sequence
 from diffops.integration import NotTotalDerivativeError, antiderivative

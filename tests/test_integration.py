@@ -2,11 +2,11 @@
 operator that witnesses total derivatives."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from diffops import integration
-from diffops._ratio import Rational
 from diffops.basis import bracket_system, solve_triangular
 from diffops.integration import (
     NotTotalDerivativeError,
@@ -17,7 +17,7 @@ from diffops.integration import (
 from diffops.polynomials import MAX_EXPONENT, DiffPolynomial, u, u_id, y
 from helpers import check_total_derivative, random_homogeneous, random_poly
 
-HALF = Rational(1, 2)
+HALF = Fraction(1, 2)
 
 
 class TestDecompose:
@@ -113,7 +113,7 @@ class TestDecompose:
             dec = decompose(u(2, 1) * u(2) ** exp)
         except OverflowError:
             return
-        assert dict(dec.antiderivative.items()) == {((u_id(2), exp + 1),): Rational(1, exp + 1)}
+        assert dict(dec.antiderivative.items()) == {((u_id(2), exp + 1),): Fraction(1, exp + 1)}
         assert not dec.obstruction
 
 

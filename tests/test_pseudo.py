@@ -3,11 +3,11 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from diffops._ratio import Rational
 from diffops import polynomials
 from diffops.operators import DiffOperator
 from diffops.polynomials import DiffPolynomial, NotHomogeneousError, u
@@ -19,7 +19,7 @@ from diffops.pseudo import (
 from helpers import D, reference_nth_root
 
 ONE = DiffPolynomial.one()
-THIRD = Rational(1, 3)
+THIRD = Fraction(1, 3)
 
 
 def L(n: int) -> DiffOperator:
@@ -52,7 +52,7 @@ class TestCommutationExpansion:
     def test_negative_powers_against_multiplication(self, k):
         # d^{-k} r = sum_s (-1)^s C(k+s-1, s) r^{(s)} d^{-k-s}, with the
         # binomial from math.comb rather than the product's recurrence
-        r = u(2) * u(3, 1) + Rational(1, 2) * u(3)
+        r = u(2) * u(3, 1) + Fraction(1, 2) * u(3)
         d_k = TruncatedPDO({-k: ONE}, top=-k, low=-k - 4)
         result = d_k.mul_keep_low(as_pdo(DiffOperator.from_coeffs([r]), -4), -k - 4)
         for s in range(5):
@@ -89,7 +89,7 @@ class TestNthRoot:
     def test_square_root_first_coefficient(self):
         # matching (d + q d^{-1} + ...)^2 = d^2 + u2 gives 2q = u2
         q = nth_root(L(2), 1)
-        assert q.coefficient_at(-1) == Rational(1, 2) * u(2)
+        assert q.coefficient_at(-1) == Fraction(1, 2) * u(2)
 
     def test_root_of_pure_power_is_d(self):
         for n in (2, 3, 5):
@@ -173,7 +173,7 @@ class TestPower:
     def test_positive_part_of_square(self):
         q = nth_root(L(3), 3)
         p2 = q.power(2).positive_part()
-        assert p2 == DiffOperator.from_dict({2: 1, 0: Rational(2, 3) * u(2)})
+        assert p2 == DiffOperator.from_dict({2: 1, 0: Fraction(2, 3) * u(2)})
 
     def test_positive_part_of_fourth_power(self):
         q = nth_root(L(3), 5)
@@ -181,11 +181,11 @@ class TestPower:
         expected = DiffOperator.from_dict(
             {
                 4: 1,
-                2: Rational(4, 3) * u(2),
-                1: Rational(2, 3) * u(2, 1) + Rational(4, 3) * u(3),
-                0: Rational(2, 9) * u(2, 2)
-                + Rational(2, 3) * u(3, 1)
-                + Rational(2, 9) * u(2) ** 2,
+                2: Fraction(4, 3) * u(2),
+                1: Fraction(2, 3) * u(2, 1) + Fraction(4, 3) * u(3),
+                0: Fraction(2, 9) * u(2, 2)
+                + Fraction(2, 3) * u(3, 1)
+                + Fraction(2, 9) * u(2) ** 2,
             }
         )
         assert p4 == expected
