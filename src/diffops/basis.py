@@ -21,7 +21,9 @@ defined by [P_m, L] = H_{m,0} + H_{m,1} d + ... + H_{m,n-2} d^{n-2}.
 
 All these substitutions, the m - 1 solve steps and then the low band, run
 as one ``substitute`` stream per ``almost_commuting`` call, so every
-q_l^{(k)} is derived once per call.
+q_l^{(k)} is derived once per call.  The step that solves y_l already
+holds q_l' = rest / -n, so it seeds q_l's derivative chain with it and
+q_l' is never derived.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 
 from .integration import NotTotalDerivativeError, antiderivative
 from .operators import DiffOperator, commutator
-from .polynomials import DiffPolynomial, IncompleteSolutionError, substitute, u, y
+from .polynomials import DiffPolynomial, IncompleteSolutionError, _derivatives, substitute, u, y
 
 # The version of the algorithm behind every result: bump it whenever the
 # solve or the substitution changes any output, so that the result cache
@@ -119,8 +121,11 @@ def solve_triangular(
     One ``substitute`` stream serves the whole solve: the m - 1 integrands,
     then the low band d^0..d^(n-2) of [L, P~_m], negated, since
     [P_m, L] = -[L, P_m]; the band is negated rather than H because the
-    band is small and H is large.  So each q_l^(k) is derived at most once
-    per call, and no q_l keeps its derivatives after the call.
+    band is small and H is large.  Each q_l's chain is seeded with
+    q_l' = rest / -n, which the step already holds, so each q_l^(k) is
+    derived at most once per call and q_l' never; the stream drops every
+    chain when it ends, and the solve closes it on every error, so no q_l
+    keeps its derivatives after the call.
     """
     n = system.n
     assignments: dict = {}
@@ -129,29 +134,35 @@ def solve_triangular(
         + [-system.full_bracket.coefficient_at(i) for i in range(n - 1)],
         assignments,
     )
-    for index in range(2, system.m + 1):
-        try:
-            rest = next(stream)
-        except IncompleteSolutionError as exc:
-            raise NotTriangularError(
-                f"equation for y_{index} is not triangular "
-                f"(n={n}, m={system.m}): it holds y_{exc.index}"
-            ) from exc
-        try:
-            integral = antiderivative(rest)
-        except NotTotalDerivativeError as exc:
-            raise NotTotalDerivativeError(
-                exc.obstruction,
-                context=(
-                    f"triangular solve failed integrating the equation for "
-                    f"y_{index} (n={system.n}, m={system.m})"
-                ),
-            ) from exc
-        q_index = integral / -n
-        if on_step is not None:
-            on_step(index, rest, q_index)
-        assignments[index] = q_index
-    return assignments, tuple(stream)
+    try:
+        for index in range(2, system.m + 1):
+            try:
+                rest = next(stream)
+            except IncompleteSolutionError as exc:
+                raise NotTriangularError(
+                    f"equation for y_{index} is not triangular "
+                    f"(n={n}, m={system.m}): it holds y_{exc.index}"
+                ) from exc
+            try:
+                integral = antiderivative(rest)
+            except NotTotalDerivativeError as exc:
+                raise NotTotalDerivativeError(
+                    exc.obstruction,
+                    context=(
+                        f"triangular solve failed integrating the equation for "
+                        f"y_{index} (n={system.n}, m={system.m})"
+                    ),
+                ) from exc
+            q_index = integral / -n
+            if on_step is not None:
+                on_step(index, rest, q_index)
+            assignments[index] = q_index
+            # seed q' = rest / -n over q's denominator; exact, as d(q) = rest / -n
+            scale = -n * rest._den
+            _derivatives(q_index, 0, {k: c * q_index._den // scale for k, c in rest._nums.items()})
+        return assignments, tuple(stream)
+    finally:
+        stream.close()  # drops the chains on the assignments, also on an error
 
 
 def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:

@@ -17,6 +17,16 @@ v = u_l^{(k)}, k >= 1, appears linearly is rewritten through
 which strictly lowers the leader, so the loop terminates with the
 irreducible remainder B.
 
+Each monomial is bucketed by the slot of its leader once, when it first
+enters the work: ``polynomials._reducible_slot`` finds the leader in one
+pass over the packed key, comparing the int ranks ``_RANKS`` (ordered as
+``elimination_rank``).  A round takes the bucket of the highest-ranked v
+and asks ``polynomials._lowering`` once for the key step of v -> w and
+the bit shift of w's field.  Then each monomial is grouped by its
+w-degree d = ``mono >> shift & _FIELD`` and lowered to w^{d+1} W by
+``mono - step``; each group runs one overflow check, and the terms are
+accumulated into A and the work in place.
+
 ``euler`` shares no code with that reduction: for F without a constant
 term, every E_{u_l}(F) vanishes exactly when F is a total derivative
 (Olver, Applications of Lie Groups to Differential Equations, Thm 4.7).
@@ -30,15 +40,13 @@ from math import gcd, lcm
 from .polynomials import (
     C_FAMILY,
     DiffPolynomial,
-    U_FAMILY,
-    VarId,
     Y_FAMILY,
-    _acc,
+    _FIELD,
+    _RANKS,
+    _check_exponents,
     _derive_raw,
-    _exponent_of,
-    _lower_factor,
-    _mono_leader,
-    elimination_rank,
+    _lowering,
+    _reducible_slot,
 )
 
 
@@ -69,20 +77,13 @@ def _require_u_only(p: DiffPolynomial) -> None:
         raise ValueError("integration is defined on polynomials in the u-variables only")
 
 
-def _reducible_leader(key: int):
-    """The leader v = u_l^{(k)} of a monomial key when k >= 1 and v is
-    linear, so that the rewriting applies; None otherwise."""
-    lead = _mono_leader(key)
-    return lead[0] if lead is not None and lead[0].order and lead[1] == 1 else None
-
-
 def _file(monos, buckets: dict, filed: set) -> None:
     """Put each monomial not yet in ``filed`` there, and each reducible one
-    also into the bucket of its leader."""
+    also into the bucket of its leader's slot."""
     for mono in monos:
         if mono not in filed:
             filed.add(mono)
-            lead = _reducible_leader(mono)
+            lead = _reducible_slot(mono)
             if lead is not None:
                 buckets.setdefault(lead, []).append(mono)
 
@@ -101,18 +102,18 @@ def decompose(f: DiffPolynomial) -> Decomposition:
     work = dict(f._nums)
     anti: dict = {}
     den = f._den
-    buckets: dict = {}
+    buckets: dict = {}  # slot of a leader v -> the monomials it leads
     filed: set = set()
     _file(work, buckets, filed)
     while buckets:
-        v = max(buckets, key=elimination_rank)
-        w_var = VarId(U_FAMILY, v.index, v.order - 1)
+        v = max(buckets, key=_RANKS.__getitem__)
+        step, shift = _lowering(v)
         # the bucket's monomials still in work, grouped by their w-degree
         groups: dict = {}
         for mono in buckets.pop(v):
             coeff = work.get(mono)
             if coeff is not None:
-                groups.setdefault(_exponent_of(mono, w_var), {})[mono] = coeff
+                groups.setdefault(mono >> shift & _FIELD, {})[mono] = coeff
         # rescale den so that every 1/(d+1) * coefficient is an integer
         scale = lcm(*((d + 1) // gcd(d + 1, *monos.values()) for d, monos in groups.items()))
         if scale != 1:
@@ -121,15 +122,33 @@ def decompose(f: DiffPolynomial) -> Decomposition:
             den *= scale
         for d, monos in groups.items():
             # v w^d W = d(w^(d+1) W / (d+1)) - w^(d+1) W' / (d+1)
-            increment = {
-                _lower_factor(mono, v): coeff * scale // (d + 1) for mono, coeff in monos.items()
-            }
+            increment = {mono - step: coeff * scale // (d + 1) for mono, coeff in monos.items()}
+            _check_exponents(increment)
+            get = anti.get
             for mono, coeff in increment.items():
-                _acc(anti, mono, coeff)
-            derived = _derive_raw(increment)
-            for mono, coeff in derived.items():
-                _acc(work, mono, -coeff)
-            _file(derived, buckets, filed)
+                prev = get(mono)
+                if prev is None:
+                    anti[mono] = coeff
+                else:
+                    s = prev + coeff
+                    if s:
+                        anti[mono] = s
+                    else:
+                        del anti[mono]
+            get = work.get
+            fresh = []  # a monomial in work was filed when it entered
+            for mono, coeff in _derive_raw(increment).items():
+                prev = get(mono)
+                if prev is None:
+                    work[mono] = -coeff
+                    fresh.append(mono)
+                else:
+                    s = prev - coeff
+                    if s:
+                        work[mono] = s
+                    else:
+                        del work[mono]
+            _file(fresh, buckets, filed)
     return Decomposition(DiffPolynomial.from_nums(anti, den), DiffPolynomial.from_nums(work, den))
 
 

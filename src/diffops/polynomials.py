@@ -33,24 +33,28 @@ y-variables, which live only while a bracket system is solved, take
 blocks of their own, so the keys of the long-lived u-monomials stay short
 (an int's size is that of its highest field).  The table only grows, by
 one slot per distinct variable; it is the one state of this module that
-outlives a call.  Only this module builds or takes keys apart: ``items()``,
-``sorted_terms()``, the constructors and pickles speak
-the canonical form of a monomial, a tuple of ``(VarId, exp)`` pairs
-sorted by VarId, with no zero exponent (``()`` is the monomial 1).  So
+outlives a call.  Only this module builds or takes keys apart (the one
+exception, ``integration.decompose``, shifts and steps keys by amounts
+``_lowering`` gives it): ``items()``, ``sorted_terms()``, the
+constructors and pickles speak the canonical form of a monomial, a
+tuple of ``(VarId, exp)`` pairs sorted by VarId, with no zero exponent
+(``()`` is the monomial 1).  So
 slot numbers never reach an output, and no result depends on the order
 in which variables were first met.
 
 A polynomial may also carry ``_derivs``, its derivative chain
 ``[nums, nums', nums'', ...]`` as numerator dicts, or None.  Only
 ``_derivatives`` grows a chain, and no other module touches ``_derivs``.
+A caller that already holds poly' may hand it to ``_derivatives`` as
+``first``, which seeds the chain ``[nums, first]`` instead of deriving.
 ``operators.leibniz_product`` grows the chains of its right factors and
 leaves them on the polynomial, so a right factor multiplied again is not
 derived again.  ``substitute`` takes polynomials linear in the y's,
 ``const + sum A_(l,k) y_l^{(k)}`` (ValueError otherwise).  It grows the
-chain of each assigned q_l, cuts it after each polynomial of its stream
-to the orders of y_l that later ones use, and drops it (None) after the
-last one or when the stream stops early, so no q_l^{(k)} outlives the
-stream.
+chain of each assigned q_l, or extends the seeded one, cuts it after each
+polynomial of its stream to the orders of y_l that later ones use, and
+drops it (None) after the last one or when the stream stops early, so no
+q_l^{(k)} outlives the stream.
 """
 
 from __future__ import annotations
@@ -139,7 +143,8 @@ _BLOCK = 256
 _SLOTS: dict = {}  # VarId -> slot
 _VARS: list = [None] * _BLOCK  # slot -> VarId (None for a free slot)
 _WEIGHTS: list = [None] * _BLOCK  # slot -> weight of its variable
-_RANKS: list = [None] * _BLOCK  # slot -> ``elimination_rank`` of its variable
+_RANKS: list = [None] * _BLOCK  # slot -> ``_int_rank`` of its variable
+_RANK_LIMIT = 1 << 32  # every index and order of a u or y is below it
 # slot -> key step of replacing the variable by its derivative: 0 for a
 # constant, None until the first derivation that needs it
 _STEPS: list = [None] * _BLOCK
@@ -159,7 +164,8 @@ def _slot(vid) -> int:
 
 def _is_variable(vid: VarId) -> bool:
     """Whether ``vid`` is a u or y of plain int index >= 2 and order >= 0,
-    or a c of order 0 indexed by a pair of plain ints (not ``True``, ``2.0``)."""
+    both below 2^32, or a c of order 0 indexed by a pair of plain ints (not
+    ``True``, ``2.0``)."""
     family, index, order = vid
     if type(family) is not int or type(order) is not int or order < 0:
         return False
@@ -167,7 +173,12 @@ def _is_variable(vid: VarId) -> bool:
         return order == 0 and type(index) is tuple and len(index) == 2 and all(
             type(i) is int for i in index
         )
-    return family in (U_FAMILY, Y_FAMILY) and type(index) is int and index >= 2
+    return (
+        family in (U_FAMILY, Y_FAMILY)
+        and type(index) is int
+        and 2 <= index < _RANK_LIMIT
+        and order < _RANK_LIMIT
+    )
 
 
 def _new_slot(vid: VarId) -> int:
@@ -188,7 +199,7 @@ def _new_slot(vid: VarId) -> int:
             shift = _W * slot
             _VARS[slot] = vid
             _WEIGHTS[slot] = vid.weight()
-            _RANKS[slot] = elimination_rank(vid)
+            _RANKS[slot] = _int_rank(vid)
             if vid.family == C_FAMILY:
                 _STEPS[slot] = 0
             _GUARD |= 1 << (shift + _W - 1)
@@ -201,11 +212,18 @@ def _new_slot(vid: VarId) -> int:
 def elimination_rank(vid) -> tuple:
     """The place of a variable in the elimination ranking, as a tuple that
     is larger for a higher rank: u before y before c, then the lower index,
-    then the higher derivative order.  ``_mono_leader`` ranks factors by it,
-    and ``integration.decompose`` ranks the leaders it reduces."""
+    then the higher derivative order.  ``_RANKS`` holds it as an int."""
     if vid[0] == C_FAMILY:
         return (-C_FAMILY, 0, 0)
     return (-vid[0], -vid[1], vid[2])
+
+
+def _int_rank(vid) -> int:
+    """``elimination_rank(vid)`` packed into one int that orders the same
+    way: each entry, shifted to be >= 0, takes a field _RANK_LIMIT wide,
+    which holds it because ``_is_variable`` keeps index and order below."""
+    family, index, order = elimination_rank(vid)
+    return ((family + C_FAMILY) * _RANK_LIMIT + index + _RANK_LIMIT - 1) * _RANK_LIMIT + order
 
 
 def _derivative_step(slot: int) -> int:
@@ -274,30 +292,36 @@ def _key_weight(key: int) -> int:
     return sum(_WEIGHTS[slot] * exp for slot, exp in _unpack(key))
 
 
-def _mono_leader(key: int):
-    """(v, exp) for the factor v^exp of a key whose v ranks highest under
-    ``elimination_rank``; None for the monomial 1."""
-    best = None
-    for slot, exp in _unpack(key):
-        if best is None or _RANKS[slot] > _RANKS[best[0]]:
-            best = slot, exp
-    return None if best is None else (_VARS[best[0]], best[1])
+def _reducible_slot(key: int):
+    """The slot of the leader v of a key, its factor of highest rank, when
+    v = u_l^{(k)} with k >= 1 appears linearly, so that integration by
+    parts lowers it; None otherwise.  One pass over the key."""
+    ranks, width, field = _RANKS, _W, _FIELD
+    best = best_rank = -1
+    best_exp = 0
+    slot = 0
+    while key:
+        skip = ((key & -key).bit_length() - 1) // width
+        key >>= skip * width
+        slot += skip
+        rank = ranks[slot]
+        if rank > best_rank:
+            best, best_rank, best_exp = slot, rank, key & field
+        key >>= width
+        slot += 1
+    return best if best_exp == 1 and _VARS[best].order else None
 
 
-def _exponent_of(key: int, vid) -> int:
-    slot = _SLOTS.get(vid)
-    return 0 if slot is None else key >> _W * slot & _FIELD
-
-
-def _lower_factor(key: int, vid) -> int:
-    """The key with one factor vid = v^{(k)}, k >= 1, replaced by v^{(k-1)}."""
-    lower = _slot(VarId(vid[0], vid[1], vid[2] - 1))
+def _lowering(slot: int) -> tuple:
+    """(step, shift) for the variable v = u_l^{(k)}, k >= 1, of ``slot`` and
+    w = u_l^{(k-1)}: ``key - step`` replaces one factor v of a key by w, and
+    ``key >> shift & _FIELD`` is the exponent of w in the key."""
+    family, index, order = _VARS[slot]
+    lower = _slot(VarId(family, index, order - 1))
     step = _STEPS[lower]
     if step is None:
         step = _derivative_step(lower)
-    key -= step
-    _check_exponents((key,))
-    return key
+    return step, _W * lower
 
 
 def _acc(out: dict, mono: int, coeff) -> None:
@@ -370,7 +394,7 @@ def _derive_raw(terms: dict) -> dict:
     return out
 
 
-def _derivatives(poly: DiffPolynomial, top: int) -> list:
+def _derivatives(poly: DiffPolynomial, top: int, first: dict | None = None) -> list:
     """[poly, poly', ..., poly^{(top)}] as numerator dicts, shorter when a
     derivative is zero (it then ends with that empty dict).
 
@@ -378,8 +402,18 @@ def _derivatives(poly: DiffPolynomial, top: int) -> list:
     stored list instead of extending it, and the dicts are never mutated,
     so a list once stored never changes and callers in several threads
     need no lock: at worst two of them derive the same step.
+
+    ``first``, when given, is poly' as a numerator dict over poly's
+    denominator, which the caller already holds: a poly without a chain
+    stores ``[poly._nums, first]``, even for top = 0, so poly' is never
+    derived.  A poly with a chain ignores it.
     """
-    derivs = poly._derivs or [poly._nums]
+    derivs = poly._derivs
+    if derivs is None:
+        derivs = [poly._nums]
+        if first is not None:
+            derivs.append(first)
+            poly._derivs = derivs
     if len(derivs) <= top and derivs[-1]:
         derivs = list(derivs)
         while len(derivs) <= top and derivs[-1]:
@@ -674,11 +708,13 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterato
     assignment is read.
 
     Each q_l^{(k)} comes from the chain ``_derivatives`` keeps on q_l, so
-    each (l, k) is derived at most once per stream.  After each
-    polynomial the stream cuts q_l's chain to the highest order of y_l
-    that a later polynomial uses, and drops it when none does or when the
-    stream stops early (an ``IncompleteSolutionError``, or a consumer that
-    stops iterating).
+    each (l, k) is derived at most once per stream.  The stream owns the
+    chains of all assignments, read or not: after each polynomial it cuts
+    q_l's chain to the highest order of y_l that a later polynomial uses,
+    and drops it when none does or when the stream ends or stops early (an
+    ``IncompleteSolutionError``, or a consumer that stops iterating).  So
+    a chain a caller seeds on an assignment (the triangular solve seeds
+    q_l' = rest / -n) lives no longer than the stream's need for it.
 
     ``assignments[l]`` is read only when a polynomial first needs y_l, so
     the caller may add assignments between yields, as the triangular solve
@@ -709,14 +745,11 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterato
                 later[l] = k
         pending.append((const, table, poly._den, keep))
     del polys  # the stream may be the only holder of the input list
-    used: dict = {}  # l -> q_l, for each l whose chain the stream holds
 
     def replacement(vid) -> tuple:
-        q = used.get(vid.index)
-        if q is None:
-            if vid.index not in assignments:
-                raise IncompleteSolutionError(vid.index)
-            q = used[vid.index] = assignments[vid.index]
+        if vid.index not in assignments:
+            raise IncompleteSolutionError(vid.index)
+        q = assignments[vid.index]
         derivs = _derivatives(q, vid.order)
         return derivs[min(vid.order, len(derivs) - 1)], q._den
 
@@ -731,15 +764,12 @@ def substitute(polys: Sequence[DiffPolynomial], assignments: Mapping) -> Iterato
                 _mul_into(out, a, q_k, common // den)
             # else they hold the derivatives cut below while the stream waits
             terms = a = q_k = den = None
-            for l, q in list(used.items()):
-                if l in keep:
-                    q._derivs = (q._derivs or [q._nums])[: keep[l] + 1]
-                else:
-                    q._derivs = None
-                    del used[l]
+            for l, q in assignments.items():
+                if q._derivs is not None:
+                    q._derivs = q._derivs[: keep[l] + 1] if l in keep else None
             yield DiffPolynomial.from_nums(out, poly_den * common)
     finally:
-        for q in used.values():
+        for q in assignments.values():
             q._derivs = None
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import golden
-from diffops import polynomials
+from diffops import basis, polynomials
 from diffops.basis import (
     NotTriangularError,
     almost_commuting,
@@ -289,8 +289,9 @@ class TestBasis:
 class TestSubstitution:
     def test_each_derivative_is_taken_once(self, monkeypatch):
         # one stream serves the whole solve: one _derive_raw call per
-        # (l, k >= 1) up to the highest order of y_l in any integrand or
-        # low-band coefficient; the bracket is built first, since its
+        # (l, k >= 2) up to the highest order of y_l in any integrand or
+        # low-band coefficient, since each q_l' is seeded with rest / -n
+        # (m - 1 steps fewer); the bracket is built first, since its
         # products derive through the same function
         calls = []
         original = polynomials._derive_raw
@@ -299,7 +300,7 @@ class TestSubstitution:
             calls.append(len(terms))
             return original(terms)
 
-        for (n, m), want in (((7, 13), 84), ((3, 20), 57)):
+        for (n, m), want in (((7, 13), 72), ((3, 20), 38)):
             system = bracket_system(n, m)
             integrands = [
                 equation - n * y(index, 1)
@@ -316,14 +317,71 @@ class TestSubstitution:
             with monkeypatch.context() as patch:
                 patch.setattr(polynomials, "_derive_raw", counting)
                 solve_triangular(system)
-            assert len(calls) == sum(highest.values()) == want
+            assert len(calls) == sum(highest.values()) - (m - 1) == want
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(2, 6) for m in range(2, 10)] + [(3, 20), (7, 13)]
+    )
+    def test_seed_is_the_derivative(self, monkeypatch, n, m):
+        # each step seeds q_l's chain with q_l' = rest / -n: it must be the
+        # derivative the chain would have taken
+        seeds = []
+        original = polynomials._derivatives
+
+        def recording(poly, top, first=None):
+            if first is not None:
+                seeds.append((poly, first))
+            return original(poly, top, first)
+
+        monkeypatch.setattr(basis, "_derivatives", recording)
+        solution, _ = solve_triangular(bracket_system(n, m))
+        assert [q for q, _ in seeds] == list(solution.values())
+        for q, first in seeds:
+            assert first == polynomials._derive_raw(q._nums), (n, m)
 
     def test_no_derivative_chain_outlives_the_call(self):
         # (4, 8): n | m, so every H is zero
-        for n, m in ((3, 20), (7, 13), (4, 8)):
+        for n, m in [(3, 20), (7, 13), (4, 8)] + [
+            (n, m) for n in range(2, 8) for m in range(1, 13)
+        ]:
             result = almost_commuting(n, m)
             for coeff in result.P.coefficients() + result.H:
                 assert coeff._derivs is None, (n, m)
+
+    def test_no_seed_outlives_a_failed_call(self, monkeypatch):
+        # a seeded q keeps no chain when the solve stops on an error, nor
+        # when no later polynomial reads its y
+        solved = []
+
+        def step(index, rest, q):
+            solved.append(q)
+            if index == 5:
+                raise RuntimeError("stop")
+
+        # both tracebacks are kept until the end: they keep the solve's frame,
+        # and with it the stream, alive
+        with pytest.raises(RuntimeError) as stopped:
+            solve_triangular(bracket_system(3, 7), step)
+        original = basis.antiderivative
+
+        def antiderivative(rest):
+            if len(solved) == 8:  # y_6, after q_2..q_5 of (4, 7) are seeded
+                raise basis.NotTotalDerivativeError()
+            return original(rest)
+
+        monkeypatch.setattr(basis, "antiderivative", antiderivative)
+        with pytest.raises(basis.NotTotalDerivativeError) as failed:
+            solve_triangular(bracket_system(4, 7), lambda index, rest, q: solved.append(q))
+        monkeypatch.undo()
+        # the low band of [L, P~_4] holds no y_5, so no polynomial after the
+        # step that solves y_5 reads it
+        system = bracket_system(3, 5)
+        low = basis.BracketSystem(3, 5, commutator(generic_L(3), generic_P(4)), system.equations)
+        solution, _ = solve_triangular(low)
+        solved.extend(solution.values())
+        assert len(solved) == 12
+        assert all(q._derivs is None for q in solved)
+        del stopped, failed
 
     def test_operator_matches_coefficient_wise(self):
         system = bracket_system(5, 7)

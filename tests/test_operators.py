@@ -78,6 +78,9 @@ def L3() -> DiffOperator:
             "invalid variable",
             id="var-float-order",
         ),
+        # the int rank of a variable needs index and order below 2^32
+        pytest.param(lambda: u(2**32), "invalid variable", id="var-huge-index"),
+        pytest.param(lambda: y(2, 2**32), "invalid variable", id="var-huge-order"),
         pytest.param(lambda: c(3.5, 1), "invalid variable", id="c-float-index"),
         pytest.param(
             lambda: DiffPolynomial.variable(VarId(C_FAMILY, (3, 1, 2), 0)),

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from diffops import polynomials
 from diffops.formats import poly_from_json
 from diffops.operators import DiffOperator
 from diffops.polynomials import (
@@ -338,6 +339,21 @@ def random_y_poly(rng):
 class TestIntegerKernel:
     """Each operation agrees term by term with Fraction arithmetic and
     leaves its result in normal form."""
+
+    def test_int_ranks_order_like_elimination_rank(self):
+        # u, y and c variables, indices >= 10 and orders >= 16
+        for l in (2, 3, 10, 11, 4_000_000):
+            for k in (0, 1, 15, 16, 17, 300):
+                u(l, k), y(l, k)
+        c(3, 1), c(12, 10)
+        slots = [s for s, vid in enumerate(polynomials._VARS) if vid is not None]
+        by_rank = sorted(slots, key=polynomials._RANKS.__getitem__)
+        by_tuple = sorted(slots, key=lambda s: polynomials.elimination_rank(polynomials._VARS[s]))
+        assert by_rank == by_tuple
+        # equal tuples (every c) have equal ranks, and only they
+        for a, b in zip(by_rank, by_rank[1:]):
+            ta, tb = (polynomials.elimination_rank(polynomials._VARS[s]) for s in (a, b))
+            assert (polynomials._RANKS[a] == polynomials._RANKS[b]) == (ta == tb)
 
     def test_ring_operations(self):
         rng = random.Random(601)
