@@ -5,17 +5,19 @@ for ``(n, m)`` is exactly the bytes
 
     {"checksum": "<hex>", "format_version": 1, "key": [n, m], "payload": <text>}
 
-where ``<text>`` is ``json.dumps(payload, sort_keys=True)`` of the
-``formats.result_to_json`` payload, so the whole entry is the
-``json.dumps(entry, sort_keys=True)`` text of those four fields.  The
-checksum is ``sha256(canonical_json_bytes(payload))``.  No string of a
-payload holds ``", "`` or ``": "`` (coefficients are digits, ``-`` and
-``/``; letters are u, y, c; keys are fixed names), so ``<text>`` with those
-two separators made compact is exactly ``canonical_json_bytes(payload)``.
+where ``<text>`` is ``formats.json_text(result, ONE_LINE)``: the
+``json.dumps(payload, sort_keys=True)`` text of the reference payload
+``formats.result_to_json(result)``, which ``put`` never builds.  So the
+whole entry is the ``json.dumps(entry, sort_keys=True)`` text of those
+four fields.  The checksum is ``sha256(canonical_json_bytes(payload))``.
+No string of a payload holds ``", "`` or ``": "`` (coefficients are
+digits, ``-`` and ``/``; letters are u, y, c; keys are fixed names), so
+``<text>`` with those two separators made compact is exactly
+``canonical_json_bytes(payload)``.
 ``get`` therefore checks the header bytes for this ``(n, m)`` and version,
 compacts the payload bytes, hashes them and parses only those same bytes:
 what is served is what was hashed, and no hit encodes the payload again.
-``put`` encodes the payload once and takes the checksum from that text.
+``put`` writes the payload text once and takes the checksum from it.
 
 An entry in any other layout (other whitespace or separators, other key
 order, another key or version in the header, trailing bytes) is a miss,
@@ -42,7 +44,8 @@ import tempfile
 from pathlib import Path
 
 from .basis import ALGORITHM_VERSION, AlmostCommutingResult
-from .formats import FORMAT_VERSION, result_from_json, result_to_json
+from .formats import FORMAT_VERSION, ONE_LINE, json_text, result_from_json
+from .formats import result_to_json  # noqa: F401  (traced by name until ROADMAP item 1b)
 
 CACHE_ENV_VAR = "DIFFOPS_CACHE_DIR"
 
@@ -113,9 +116,7 @@ class ResultCache:
         if (result.n, result.m) != (n, m):
             # an entry that cache list shows and get(n, m) never serves
             raise ValueError(f"result ({result.n}, {result.m}) put under key ({n}, {m})")
-        # one dumps call runs the C encoder (dump streams through the
-        # pure-Python one); sort_keys gives the layout get expects
-        text = json.dumps(result_to_json(result), sort_keys=True).encode("ascii")
+        text = json_text(result, ONE_LINE).encode("ascii")
         path = self.entry_path(n, m)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(

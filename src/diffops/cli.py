@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from pathlib import Path
 
 from .basis import NotTriangularError, almost_commuting, generic_L
 from .cache import CACHE_ENV_VAR, ResultCache
-from .formats import (
-    json_object_text,
-    poly_json_text,
-    poly_latex,
-    render_operator,
-    render_poly,
-)
+from .formats import INDENTED, json_text, poly_latex, render_operator, render_poly
 from .hierarchy import gd_equations, kdv_sequence
 from .integration import NotTotalDerivativeError
 from .pseudo import InsufficientDepthError, nth_root
@@ -83,13 +76,14 @@ def cmd_basis(args) -> int:
 
 def _render_flow(eq, fmt: str, stationary: bool) -> str:
     if fmt == "json":
-        return json_object_text(
+        return json_text(
             {
-                "variable_index": json.dumps(eq.variable_index),
-                "lhs": json.dumps(None if stationary else eq.lhs_label),
-                "rhs": poly_json_text(eq.rhs, 1),
-                "stationary": json.dumps(stationary),
-            }
+                "variable_index": eq.variable_index,
+                "lhs": None if stationary else eq.lhs_label,
+                "rhs": eq.rhs,
+                "stationary": stationary,
+            },
+            INDENTED,
         )
     if fmt == "latex":
         body = poly_latex(eq.rhs)

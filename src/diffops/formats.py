@@ -12,13 +12,15 @@ straight into integers; any other text raises ValueError.  The letter is
 constants.  Round-tripping a canonical file is the identity.  The LaTeX
 printer uses u_2', u_2'', u_2''', u_2^{(4)} derivative marks.
 
-The ``json`` render of a polynomial, an operator or a flow equation is
-byte-identical to ``json.dumps(..., indent=2)`` of its encoding, but
-``poly_json_text`` writes it from ``DiffPolynomial.sorted_terms`` with
-fixed glue, which renders each distinct factor once.  The stdlib runs its
-C encoder only for a one-shot ``dumps`` without ``indent``; with
-``indent`` (or through ``dump``) every list and dict of the payload goes
-through its pure-Python encoder, several times slower on a large result.
+One writer, ``json_text``, produces every JSON byte diffops writes: the
+``json`` files (layout ``INDENTED``, ``json.dumps(..., indent=2)``) and the
+cache payload (layout ``ONE_LINE``, ``json.dumps(..., sort_keys=True)``).
+It walks each polynomial's ``DiffPolynomial.sorted_terms`` once, renders
+each distinct factor once and appends every term as one fragment to a
+single list that is joined once, so no encoding is built as objects.
+The dict tree of ``poly_to_json``, ``operator_to_json`` and
+``result_to_json`` is the reference it is checked against, byte for byte,
+through the stdlib encoder; nothing in the package writes through it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _factor_to_json(vid: VarId, exp: int) -> list:
 
 def poly_to_json(p: DiffPolynomial) -> list:
     """The term list ``[{"coeff": "num/den", "monomial": [factor, ...]}, ...]``
-    in canonical order.
+    in canonical order: the reference encoding that ``json_text`` writes.
 
     Each distinct factor is encoded once per call, so terms that share a
     factor share its list: copy a term before editing it in place.
@@ -69,45 +71,6 @@ def poly_to_json(p: DiffPolynomial) -> list:
         {"coeff": ratio_text(num, den), "monomial": monomial}
         for monomial, num, den in p.sorted_terms(_factor_to_json)
     ]
-
-
-def _list_text(items: list, depth: int) -> str:
-    """An indent=2 JSON array of already-rendered items, nested ``depth``
-    levels deep in its document."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
-
-
-def json_object_text(fields: dict) -> str:
-    """An indent=2 JSON object at the top of its document, from its keys
-    and their values already rendered one level deep."""
-    body = ",".join(f"\n  {json.dumps(key)}: {value}" for key, value in fields.items())
-    return "{" + body + "\n}"
-
-
-def poly_json_text(p: DiffPolynomial, depth: int = 0) -> str:
-    """``json.dumps(poly_to_json(p), indent=2)`` byte for byte, nested
-    ``depth`` levels deep in its document.
-
-    Each distinct factor is rendered once per call and re-padded to the
-    depth of its monomial.  A coefficient's text is digits, ``-`` and ``/``
-    only, so it needs no escaping.
-    """
-    pad = "  " * depth
-    factor_pad = f"\n{pad}      "
-
-    def factor_block(vid, exp):
-        return json.dumps(_factor_to_json(vid, exp), indent=2).replace("\n", factor_pad)
-
-    terms = [
-        f'{{\n{pad}    "coeff": "{ratio_text(num, den)}",'
-        f'\n{pad}    "monomial": {_list_text(blocks, depth + 2)}\n{pad}  }}'
-        for blocks, num, den in p.sorted_terms(factor_block)
-    ]
-    return _list_text(terms, depth)
 
 
 def parse_coeff(text: str) -> tuple:
@@ -186,6 +149,7 @@ def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
 
 
 def operator_to_json(op: DiffOperator) -> dict:
+    """The reference encoding of an operator (see ``poly_to_json``)."""
     if not op:
         return {"order": None, "coefficients": []}
     return {
@@ -206,6 +170,8 @@ def operator_from_json(data: dict) -> DiffOperator:
 
 
 def result_to_json(result: AlmostCommutingResult) -> dict:
+    """The reference encoding of a result, the cache payload; results are
+    digested through it (see ``poly_to_json``)."""
     return {
         "format_version": FORMAT_VERSION,
         "n": result.n,
@@ -249,6 +215,77 @@ def result_from_json(data: dict) -> AlmostCommutingResult:
 
 def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+# A layout is (line break, indent step, item separator, sort keys).
+ONE_LINE = ("", "", ", ", True)  # json.dumps(obj, sort_keys=True): the cache payload
+INDENTED = ("\n", "  ", ",", False)  # json.dumps(obj, indent=2): the json files
+
+
+def json_text(value, layout: tuple) -> str:
+    """The ``json.dumps`` text of ``value``'s reference encoding in
+    ``layout``, byte for byte.
+
+    ``value`` is a DiffPolynomial, a DiffOperator or an
+    AlmostCommutingResult (encoded as ``poly_to_json``, ``operator_to_json``
+    and ``result_to_json`` encode them), a JSON scalar, or a dict, list or
+    tuple of these.
+    """
+    return _text(value, layout, layout[0])
+
+
+def _text(value, layout: tuple, pad: str) -> str:
+    out: list = []
+    _write(out, value, layout, pad)
+    return "".join(out)
+
+
+def _write(out: list, value, layout: tuple, pad: str) -> None:
+    """Append the text of ``value`` to ``out``; ``pad`` is the line break
+    and indentation of the line it starts on."""
+    _, step, sep, sort_keys = layout
+    if isinstance(value, DiffPolynomial):
+        return _write_poly(out, value, layout, pad)
+    if isinstance(value, DiffOperator):
+        value = {"order": value.order if value else None, "coefficients": value.coefficients()}
+    elif isinstance(value, AlmostCommutingResult):
+        value = dict(format_version=FORMAT_VERSION, n=value.n, m=value.m, P=value.P, H=value.H)
+    if isinstance(value, dict):
+        keys = sorted(value) if sort_keys else value
+        items, brackets = [(json.dumps(key) + ": ", value[key]) for key in keys], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [("", item) for item in value], "[]"
+    else:
+        return out.append(json.dumps(value))
+    inner = pad + step
+    lead = brackets[0] + inner
+    for key_text, item in items:
+        out.append(lead + key_text)
+        _write(out, item, layout, inner)
+        lead = sep + inner
+    out.append(pad + brackets[1] if items else brackets)
+
+
+def _write_poly(out: list, p: DiffPolynomial, layout: tuple, pad: str) -> None:
+    """One fragment per term, with fixed glue.  Each distinct factor is
+    written once per call; a coefficient's text is digits, ``-`` and ``/``
+    only, so it needs no escaping."""
+    _, step, sep, _ = layout
+    pad1, pad2, pad3 = pad + step, pad + 2 * step, pad + 3 * step
+    between = sep + pad3
+    lead = "[" + pad1
+    for factors, num, den in p.sorted_terms(
+        lambda vid, exp: _text(_factor_to_json(vid, exp), layout, pad3)
+    ):
+        monomial = f"{pad3}{between.join(factors)}{pad2}" if factors else ""
+        out.append(
+            f'{lead}{{{pad2}"coeff": "{ratio_text(num, den)}"{sep}'
+            f'{pad2}"monomial": [{monomial}]{pad1}}}'
+        )
+        lead = sep + pad1
+    out.append(pad + "]" if p else "[]")
 
 
 # -- LaTeX ------------------------------------------------------------------
@@ -296,7 +333,7 @@ def operator_latex(op: DiffOperator) -> str:
 
 def render_poly(p: DiffPolynomial, fmt: str) -> str:
     if fmt == "json":
-        return poly_json_text(p)
+        return json_text(p, INDENTED)
     if fmt == "latex":
         return poly_latex(p)
     if fmt == "text":
@@ -306,13 +343,7 @@ def render_poly(p: DiffPolynomial, fmt: str) -> str:
 
 def render_operator(op: DiffOperator, fmt: str) -> str:
     if fmt == "json":
-        coeffs = [poly_json_text(c, 2) for c in op.coefficients()]
-        return json_object_text(
-            {
-                "order": json.dumps(op.order if coeffs else None),
-                "coefficients": _list_text(coeffs, 1),
-            }
-        )
+        return json_text(op, INDENTED)
     if fmt == "latex":
         return operator_latex(op)
     if fmt == "text":

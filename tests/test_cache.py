@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from diffops import formats
 from diffops.basis import ALGORITHM_VERSION, almost_commuting
 from diffops.cache import CACHE_ENV_VAR, ResultCache, default_cache_root
 from diffops.formats import FORMAT_VERSION, canonical_json_bytes, result_to_json
@@ -148,6 +149,23 @@ def _sorted_entry(n, m, payload) -> dict:
         "key": [n, m],
         "payload": payload,
     }
+
+
+def test_put_builds_no_dict_tree(tmp_path, monkeypatch):
+    result = almost_commuting(3, 8)
+    entry = json.dumps(_sorted_entry(3, 8, result_to_json(result)), sort_keys=True)
+
+    def refuse(*args):
+        raise AssertionError("put encoded through the reference dict tree")
+
+    monkeypatch.setattr(formats, "poly_to_json", refuse)
+    monkeypatch.setattr(formats, "operator_to_json", refuse)
+    cache = ResultCache(tmp_path)
+    path = cache.put(3, 8, result)
+    assert path.read_text(encoding="utf-8") == entry
+    loaded = cache.get(3, 8)
+    assert loaded is not None
+    assert loaded.P == result.P and loaded.H == result.H
 
 
 def _reversed_keys(obj):

@@ -11,7 +11,9 @@ import pytest
 from diffops.basis import almost_commuting
 from diffops.cli import _render_flow
 from diffops.formats import (
+    ONE_LINE,
     canonical_json_bytes,
+    json_text,
     operator_from_json,
     operator_latex,
     operator_to_json,
@@ -128,7 +130,9 @@ class TestCoefficientParsing:
 
 
 class TestJsonWriter:
-    """The json renders equal the stdlib's indent=2 encoding byte for byte."""
+    """The one writer equals the stdlib's encoding of the reference dict
+    tree byte for byte: indent=2 for the json renders, and one line with
+    sorted keys for the cache payload."""
 
     EDGE_POLYS = [
         DiffPolynomial.zero(),
@@ -145,6 +149,14 @@ class TestJsonWriter:
     def test_poly(self):
         for p in self.polys():
             assert render_poly(p, "json") == json.dumps(poly_to_json(p), indent=2)
+            assert json_text(p, ONE_LINE) == json.dumps(poly_to_json(p))
+
+    # (4, 8) is in the range: n | m, so every H is the empty list
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 6) for m in range(1, 10)] + [(7, 13)])
+    def test_payload_one_line(self, n, m):
+        result = almost_commuting(n, m)
+        same = json_text(result, ONE_LINE) == json.dumps(result_to_json(result), sort_keys=True)
+        assert same  # a bool: a failing (7, 13) would make pytest diff 1.4 MB of text
 
     def test_operator(self):
         rng = random.Random(506)
