@@ -17,7 +17,16 @@ digits, ``-`` and ``/``; letters are u, y, c; keys are fixed names), so
 ``get`` therefore checks the header bytes for this ``(n, m)`` and version,
 compacts the payload bytes, hashes them and parses only those same bytes:
 what is served is what was hashed, and no hit encodes the payload again.
-``put`` writes the payload text once and takes the checksum from it.
+It lets each copy go as soon as the next exists (the file, the compact
+bytes, the text once ``json.loads`` has built the tree), and
+``result_from_json`` drops each polynomial's term list from the tree as
+it reads it.  The cyclic garbage collector is paused meanwhile: the tree
+and the result hold no cycles.  The polynomials of a hit keep the
+parse's canonical rows for their first render (see ``formats``).
+``put`` hashes and then writes the payload a run of the writer's
+fragments at a time, so the payload is never one string and its compact
+form never a full copy: each separator lies inside one fragment, so
+each run compacts alone.
 
 An entry in any other layout (other whitespace or separators, other key
 order, another key or version in the header, trailing bytes) is a miss,
@@ -36,6 +45,7 @@ need no algorithm field.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -44,7 +54,7 @@ import tempfile
 from pathlib import Path
 
 from .basis import ALGORITHM_VERSION, AlmostCommutingResult
-from .formats import FORMAT_VERSION, ONE_LINE, json_text, result_from_json
+from .formats import FORMAT_VERSION, ONE_LINE, json_fragments, result_from_json
 from .formats import result_to_json  # noqa: F401  (traced by name until ROADMAP item 1b)
 
 CACHE_ENV_VAR = "DIFFOPS_CACHE_DIR"
@@ -54,6 +64,8 @@ _ENTRY_RE = re.compile(r"^\((\d+)_(\d+)\)\.json$")
 # the entry up to its payload text; the checksum is the first field
 _HEAD = b'{"checksum": "%s", "format_version": %d, "key": [%d, %d], "payload": '
 _SUM_AT = _HEAD.index(b"%s")
+# fragments per chunk that put joins: about one term each, so ~300 KB
+_CHUNK = 4096
 
 
 def default_cache_root() -> Path:
@@ -65,12 +77,18 @@ def default_cache_root() -> Path:
     return base / "diffops"
 
 
-def _canonical(text: bytes) -> tuple:
-    """``(canonical_json_bytes(payload), checksum)`` from the
+def _compact(text: bytes) -> bytes:
+    """``canonical_json_bytes(payload)`` from the
     ``json.dumps(payload, sort_keys=True)`` text of a payload whose strings
-    hold neither ``", "`` nor ``": "``."""
-    text = text.replace(b", ", b",").replace(b": ", b":")
-    return text, hashlib.sha256(text).hexdigest().encode("ascii")
+    hold neither ``", "`` nor ``": "``, or the part of it that a run of
+    ``json_fragments`` makes."""
+    return text.replace(b", ", b",").replace(b": ", b":")
+
+
+def _chunks(fragments: list):
+    """The ASCII bytes of ``fragments``, joined a run of _CHUNK at a time."""
+    for i in range(0, len(fragments), _CHUNK):
+        yield "".join(fragments[i : i + _CHUNK]).encode("ascii")
 
 
 class ResultCache:
@@ -97,12 +115,18 @@ class ResultCache:
             return None
         text = raw[len(head) : -1]
         del raw  # the file buffer goes before the compact copy is made
-        text, expected = _canonical(text)
-        if checksum != expected:
+        text = _compact(text)
+        if checksum != hashlib.sha256(text).hexdigest().encode("ascii"):
             return None
+        # The tree and the result hold no reference cycles, yet the tens of
+        # thousands of containers they are made of would start cyclic
+        # collections that traverse the whole heap, so none runs here.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             text = text.decode("utf-8")  # rebound: the bytes go before the parse
             payload = json.loads(text)
+            del text  # and the text before the walk
             # the checksum covers the payload only, not the key beside it
             if (payload["n"], payload["m"]) != (n, m):
                 return None
@@ -111,12 +135,20 @@ class ResultCache:
             # RecursionError: the decoder's nesting limit, e.g. "[" * 100000;
             # ValueError covers UnicodeDecodeError and json.JSONDecodeError
             return None
+        finally:
+            if collecting:
+                gc.enable()
 
     def put(self, n: int, m: int, result: AlmostCommutingResult) -> Path:
         if (result.n, result.m) != (n, m):
             # an entry that cache list shows and get(n, m) never serves
             raise ValueError(f"result ({result.n}, {result.m}) put under key ({n}, {m})")
-        text = json_text(result, ONE_LINE).encode("ascii")
+        # hashed and then written a chunk at a time: the payload is never
+        # one string, nor held as bytes beside its compact copy
+        fragments = json_fragments(result, ONE_LINE)
+        digest = hashlib.sha256()
+        for chunk in _chunks(fragments):
+            digest.update(_compact(chunk))
         path = self.entry_path(n, m)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -124,8 +156,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(_HEAD % (_canonical(text)[1], FORMAT_VERSION, n, m))
-                handle.write(text)
+                handle.write(_HEAD % (digest.hexdigest().encode("ascii"), FORMAT_VERSION, n, m))
+                for chunk in _chunks(fragments):
+                    handle.write(chunk)
                 handle.write(b"}")
             os.replace(tmp_name, path)
         except BaseException:

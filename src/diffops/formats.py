@@ -17,17 +17,23 @@ One writer, ``json_text``, produces every JSON byte diffops writes: the
 cache payload (layout ``ONE_LINE``, ``json.dumps(..., sort_keys=True)``).
 It walks each polynomial's ``DiffPolynomial.sorted_terms`` once, renders
 each distinct factor once and appends every term as one fragment to a
-single list that is joined once, so no encoding is built as objects.
+single list (``json_fragments``), so no encoding is built as objects.
 The dict tree of ``poly_to_json``, ``operator_to_json`` and
 ``result_to_json`` is the reference it is checked against, byte for byte,
 through the stdlib encoder; nothing in the package writes through it.
+
+The parse reads the terms in the order they are written, and checks that
+order as it goes.  A polynomial whose terms are in canonical order, as
+every cache entry that ``put`` wrote has them, keeps them as rows that
+the first ``sorted_terms`` call renders without decoding or sorting a
+monomial; so a warm cache hit sorts nothing before its render.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .basis import AlmostCommutingResult
 from .operators import DiffOperator, render_terms
@@ -103,18 +109,34 @@ def poly_from_json(data: list) -> DiffPolynomial:
     polynomial.  An exponent above ``polynomials.MAX_EXPONENT`` raises
     ValueError as well.
     """
-    return _poly_from_json(data, {})
+    return _poly_from_json(data, {}, {}, [])
 
 
-def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
-    """``poly_from_json`` with a factor memo (raw factor -> ``(VarId, key)``,
-    the key of the one-factor monomial) that the caller may share across
-    polynomials; a monomial's key is the sum of its factors' keys."""
-    coeffs = {}
+def _poly_from_json(data: list, factors: dict, ratios: dict, table: list) -> DiffPolynomial:
+    """``poly_from_json`` with memos and a factor table that the caller may
+    share across polynomials.  ``ratios`` maps a coefficient text to its
+    ``(num, den)``, and ``factors`` a raw factor to ``(vid, exp, key,
+    weight, id)``: the key of the one-factor monomial (a monomial's key is
+    the sum of its factors'), its weight, and its place in ``table``, the
+    list of ``(vid, exp)`` in the order first met.
+
+    The walk checks the canonical order as it reads: each term's
+    variables strictly ascend, which also rules out a repeated one, and
+    each term sorts after the one before it, by weight descending and then
+    by its factors.  A polynomial of two or more terms that passes keeps
+    them as ``_rows`` (each term's factor ids and its monomial key), the
+    rows ``DiffPolynomial.sorted_terms`` hands to its first caller instead
+    of sorting.  One term out of order, and the polynomial keeps none.
+    """
     terms = {}
+    factor_rows, keys = [], []  # both None once a term is out of order
+    last_weight, last_codes = inf, None
     for term in data:
-        mono = 0
-        vids = []
+        mono = weight = 0
+        ids = []
+        codes = []  # the memo entries, which compare as their (vid, exp) do
+        last_vid = ()  # below every VarId
+        ascending = True
         for letter, index, order, exp in term["monomial"]:
             if letter == _C_LETTER:  # checked here: the key holds only the pair's type
                 index = tuple(index)
@@ -130,22 +152,44 @@ def _poly_from_json(data: list, factors: dict) -> DiffPolynomial:
                     raise ValueError(f"non-canonical factor: {key[:4]!r}")
                 vid = VarId(_LETTER_TO_FAMILY[letter], index, order)
                 try:
-                    factor = factors[key] = (vid, _factor_key(vid, exp))
+                    factor_key = _factor_key(vid, exp)
                 except OverflowError as exc:
                     raise ValueError(str(exc)) from exc
-            vids.append(factor[0])
-            mono += factor[1]
-        if len(set(vids)) != len(vids):
+                factor = factors[key] = (vid, exp, factor_key, vid.weight() * exp, len(table))
+                table.append((vid, exp))
+            vid, _, factor_key, factor_weight, factor_id = factor
+            if vid <= last_vid:
+                ascending = False
+            last_vid = vid
+            codes.append(factor)
+            ids.append(factor_id)
+            mono += factor_key
+            weight += factor_weight
+        if not ascending and len({code[0] for code in codes}) != len(codes):
             raise ValueError(f"repeated variable in monomial: {term['monomial']!r}")
         text = term["coeff"]
-        coeff = coeffs.get(text)
+        coeff = ratios.get(text)
         if coeff is None:
-            coeff = coeffs[text] = parse_coeff(text)
+            coeff = ratios[text] = parse_coeff(text)
         terms[mono] = coeff
+        if factor_rows is not None:
+            if ascending and (
+                weight < last_weight or weight == last_weight and codes > last_codes
+            ):
+                factor_rows.append(tuple(ids))
+                keys.append(mono)
+                last_weight, last_codes = weight, codes
+            else:
+                factor_rows = keys = None
     if len(terms) != len(data):
         raise ValueError("repeated monomial")
     den = lcm(*(d for _, d in terms.values()))
-    return DiffPolynomial.from_nums({m: n * (den // d) for m, (n, d) in terms.items()}, den)
+    p = DiffPolynomial.from_nums({m: n * (den // d) for m, (n, d) in terms.items()}, den)
+    # one term needs no sort, and a render may skip it (the top 1 of a monic
+    # operator), which would leave its rows held
+    if factor_rows is not None and len(factor_rows) > 1:
+        p._rows = (table, factor_rows, keys)
+    return p
 
 
 def operator_to_json(op: DiffOperator) -> dict:
@@ -192,7 +236,11 @@ def result_from_json(data: dict) -> AlmostCommutingResult:
     another format version, a ``P`` order other than m or than its
     coefficient count - 1, a top ``P`` coefficient other than 1, an ``H``
     count other than n - 1 and a factor other than u (checked once per
-    distinct factor: all polynomials share one memo)."""
+    distinct factor: all polynomials share the memos).
+
+    ``data`` is consumed: each polynomial's term list is dropped from it
+    (its slot set to None) once read, so the walk never holds the whole
+    tree beside the result that it builds."""
     version, n, m, P, H = data["format_version"], data["n"], data["m"], data["P"], data["H"]
     coeffs = P["coefficients"]
     if any(type(x) is not int for x in (version, n, m, P["order"])):
@@ -202,8 +250,14 @@ def result_from_json(data: dict) -> AlmostCommutingResult:
     if P["order"] != m or P["order"] != len(coeffs) - 1 or coeffs[-1:] != [_MONIC_TOP]:
         raise ValueError("non-canonical P")
     factors: dict = {}
-    polys = [_poly_from_json(p, factors) for p in coeffs + H]
-    if any(vid[0] != U_FAMILY for vid, _ in factors.values()):
+    ratios: dict = {}
+    table: list = []
+    polys = []
+    for group in (coeffs, H):
+        for i, terms in enumerate(group):
+            group[i] = None
+            polys.append(_poly_from_json(terms, factors, ratios, table))
+    if any(vid[0] != U_FAMILY for vid, _ in table):
         raise ValueError("a result holds polynomials in u only")
     return AlmostCommutingResult(
         n=n,
@@ -233,7 +287,17 @@ def json_text(value, layout: tuple) -> str:
     and ``result_to_json`` encode them), a JSON scalar, or a dict, list or
     tuple of these.
     """
-    return _text(value, layout, layout[0])
+    return "".join(json_fragments(value, layout))
+
+
+def json_fragments(value, layout: tuple) -> list:
+    """The fragments that ``json_text(value, layout)`` joins: one per term
+    of a polynomial and one per bracket, key or scalar around them.  Each
+    separator (the item separator and ``": "``) lies inside one fragment,
+    so a run of fragments can be compacted on its own."""
+    out: list = []
+    _write(out, value, layout, layout[0])
+    return out
 
 
 def _text(value, layout: tuple, pad: str) -> str:

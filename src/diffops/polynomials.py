@@ -55,6 +55,13 @@ chain of each assigned q_l, or extends the seeded one, cuts it after each
 polynomial of its stream to the orders of y_l that later ones use, and
 drops it (None) after the last one or when the stream stops early, so no
 q_l^{(k)} outlives the stream.
+
+A polynomial may also carry ``_rows``, its terms in canonical order as
+read from a canonical JSON term list, or None.  Only
+``formats._poly_from_json`` sets them, and only ``sorted_terms`` reads
+them: its first call takes them and drops them, so they are a hand-off
+from the parse to one render, not a memo.  No computed polynomial has
+rows.
 """
 
 from __future__ import annotations
@@ -441,7 +448,7 @@ class DiffPolynomial:
     the module docstring).
     """
 
-    __slots__ = ("_nums", "_den", "_derivs")
+    __slots__ = ("_nums", "_den", "_derivs", "_rows")
 
     def __init__(self, terms: Mapping | None = None):
         """sum c * mono over ``terms``, which maps monomials, as (VarId,
@@ -454,7 +461,7 @@ class DiffPolynomial:
             if c:
                 _acc(nums, _pack(mono), c.numerator * (den // c.denominator))
         self._nums, self._den = _normal_form(nums, den)
-        self._derivs = None
+        self._derivs = self._rows = None
 
     # -- construction -------------------------------------------------
 
@@ -467,7 +474,7 @@ class DiffPolynomial:
         """
         p = cls.__new__(cls)
         p._nums, p._den = _normal_form(nums, den)
-        p._derivs = None
+        p._derivs = p._rows = None
         return p
 
     @classmethod
@@ -499,7 +506,29 @@ class DiffPolynomial:
         the canonical monomials ascending), each num/den in lowest terms;
         ``factors`` lists ``factor_str(vid, exp)`` of the monomial's factors.
         ``factor_str`` is called once per distinct factor, so terms that
-        share a factor share its value."""
+        share a factor share its value.
+
+        A polynomial parsed from a canonical term list holds ``_rows``,
+        ``(table, factor_rows, keys)``: ``table`` lists the ``(VarId,
+        exp)`` factors that its parse met, and per term, in canonical
+        order, ``factor_rows`` holds its factors as ids into ``table`` and
+        ``keys`` its monomial's key.  The first call renders those rows
+        and releases them, with no decode and no sort; every later call,
+        and every polynomial without rows, decodes the keys and sorts.
+        """
+        rows = self._rows
+        if rows is not None:
+            self._rows = None
+            table, factor_rows, keys = rows
+            rendered = [None] * len(table)
+            for i in set(chain.from_iterable(factor_rows)):
+                rendered[i] = factor_str(*table[i])
+            text, den = rendered.__getitem__, self._den
+            return [
+                (list(map(text, ids)), num // g, den // g)
+                for ids, num in zip(factor_rows, map(self._nums.__getitem__, keys))
+                for g in (gcd(num, den),)
+            ]
         nums = self._nums
         # A factor v^e sorts by its code rank(v) << _W | e, which orders as
         # the pair (v, e) does; rank(v) is v's place among the variables

@@ -1,6 +1,7 @@
 """Result cache: round trips, checksum rejection, atomic writes."""
 
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -9,11 +10,20 @@ from pathlib import Path
 
 import pytest
 
+from diffops import cache as cache_module
 from diffops import formats
 from diffops.basis import ALGORITHM_VERSION, almost_commuting
 from diffops.cache import CACHE_ENV_VAR, ResultCache, default_cache_root
-from diffops.formats import FORMAT_VERSION, canonical_json_bytes, result_to_json
+from diffops.formats import (
+    FORMAT_VERSION,
+    canonical_json_bytes,
+    factor_latex,
+    render_operator,
+    render_poly,
+    result_to_json,
+)
 from diffops.hierarchy import gd_equations
+from diffops.polynomials import DiffPolynomial, factor_text
 
 PINNED_ENTRY = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
@@ -395,6 +405,90 @@ def test_factors_out_of_order_read_back_canonically(tmp_path):
     loaded = cache.get(3, 7)
     assert loaded is not None
     assert loaded.P == result.P and loaded.H == result.H
+
+
+FORMATS = ("json", "latex", "text")
+
+
+def _polys(result) -> list:
+    return [*result.P.coefficients(), *result.H]
+
+
+def _rendered(result, fmt) -> list:
+    """The contents of the files ``diffops basis`` writes for ``result``."""
+    return [render_operator(result.P, fmt)] + [render_poly(h, fmt) for h in result.H]
+
+
+def _swap_factors_of_fifth_term(payload):
+    # the d^0 coefficient of P_7 for n = 3 ends 14/9 u_3 u_3' + 28/27 u_3'''';
+    # swapped, the fifth term still sorts between its neighbours
+    _first_terms(payload)[4]["monomial"].reverse()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_out_of_order_entry_keeps_no_rows_and_renders_canonically(tmp_path, fmt):
+    cache = ResultCache(tmp_path)
+    result = almost_commuting(3, 7)
+    cache.put(3, 7, result)
+
+    def edit(payload):
+        payload["H"][0].reverse()
+        _swap_factors_of_fifth_term(payload)
+
+    _tamper(cache, 3, 7, edit)
+    loaded = cache.get(3, 7)
+    assert loaded is not None
+    assert loaded.P.coefficient_at(0)._rows is None and loaded.H[0]._rows is None
+    # control: the polynomials left in canonical order keep theirs
+    assert loaded.P.coefficient_at(1)._rows is not None and loaded.H[1]._rows is not None
+    assert _rendered(loaded, fmt) == _rendered(result, fmt)
+
+
+PARITY_CASES = [(n, m) for n in range(2, 6) for m in range(1, 10)] + [(7, 13)]
+
+
+@pytest.mark.parametrize("n, m", PARITY_CASES)
+def test_parsed_rows_render_as_the_sort_does_and_are_released(tmp_path, n, m):
+    cache = ResultCache(tmp_path)
+    result = almost_commuting(n, m)
+    cache.put(n, m, result)
+    assert all(p._rows is None for p in _polys(result))
+    for factor_str in (factor_text, factor_latex, formats._factor_to_json):
+        parsed = cache.get(n, m)
+        # every polynomial of two or more terms comes with its rows
+        assert all((p._rows is not None) == (len(p) > 1) for p in _polys(parsed))
+        for p in _polys(parsed):
+            unparsed = DiffPolynomial.from_nums(dict(p._nums), p._den)
+            assert p.sorted_terms(factor_str) == unparsed.sorted_terms(factor_str)
+    for fmt in FORMATS:
+        parsed = cache.get(n, m)
+        first = _rendered(parsed, fmt)
+        assert all(p._rows is None for p in _polys(parsed))
+        assert _rendered(parsed, fmt) == first == _rendered(result, fmt)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_get_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    cache = ResultCache(tmp_path)
+    cache.put(3, 7, almost_commuting(3, 7))
+    cache.put(3, 8, almost_commuting(3, 8))
+    _tamper(cache, 3, 8, _set_coeffs("2/4"))
+    during = []
+
+    def recording(payload):
+        during.append(gc.isenabled())
+        return formats.result_from_json(payload)
+
+    monkeypatch.setattr(cache_module, "result_from_json", recording)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cache.get(3, 7) is not None
+        assert cache.get(3, 8) is None  # refused by the parser
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_entry_moved_to_another_m_is_a_miss(tmp_path):
