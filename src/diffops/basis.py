@@ -28,6 +28,7 @@ q_l' is never derived.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,6 +171,9 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
 
     At m = 1 the system is empty and P_1 = d.  When n divides m the
     computation degenerates gracefully: P_m = L^{m/n} and every H vanishes.
+
+    A ``cache`` put that raises OSError is reported on stderr, not raised:
+    like an unreadable cache, an unwritable one costs only the reuse.
     """
     if n < 2:
         raise ValueError("the operator order must be at least 2")
@@ -189,5 +193,9 @@ def almost_commuting(n: int, m: int, cache=None) -> AlmostCommutingResult:
         H=H,
     )
     if cache is not None:
-        cache.put(n, m, result)
+        try:
+            cache.put(n, m, result)
+        except OSError as exc:
+            path = cache.entry_path(n, m)
+            print(f"diffops: cache entry {path} not written: {exc}", file=sys.stderr)
     return result

@@ -22,7 +22,8 @@ bytes, the text once ``json.loads`` has built the tree), and
 ``result_from_json`` drops each polynomial's term list from the tree as
 it reads it.  The cyclic garbage collector is paused meanwhile: the tree
 and the result hold no cycles.  The polynomials of a hit keep the
-parse's canonical rows for their first render (see ``formats``).
+parse's canonical rows for their first render: each term's factor ids,
+with the numerators read in ``_nums`` order (see ``formats``).
 ``put`` hashes and then writes the payload a run of the writer's
 fragments at a time, so the payload is never one string and its compact
 form never a full copy: each separator lies inside one fragment, so

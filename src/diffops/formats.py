@@ -24,9 +24,10 @@ through the stdlib encoder; nothing in the package writes through it.
 
 The parse reads the terms in the order they are written, and checks that
 order as it goes.  A polynomial whose terms are in canonical order, as
-every cache entry that ``put`` wrote has them, keeps them as rows that
-the first ``sorted_terms`` call renders without decoding or sorting a
-monomial; so a warm cache hit sorts nothing before its render.
+every cache entry that ``put`` wrote has them, keeps each term's factor
+ids as rows, its numerators in that order in ``_nums``.  The first
+``sorted_terms`` call renders them without decoding or sorting a
+monomial, so a warm cache hit sorts nothing before its render.
 """
 
 from __future__ import annotations
@@ -124,12 +125,12 @@ def _poly_from_json(data: list, factors: dict, ratios: dict, table: list) -> Dif
     variables strictly ascend, which also rules out a repeated one, and
     each term sorts after the one before it, by weight descending and then
     by its factors.  A polynomial of two or more terms that passes keeps
-    them as ``_rows`` (each term's factor ids and its monomial key), the
-    rows ``DiffPolynomial.sorted_terms`` hands to its first caller instead
-    of sorting.  One term out of order, and the polynomial keeps none.
+    ``(table, factor_rows)`` as ``_rows``, each term's factor ids, which
+    ``DiffPolynomial.sorted_terms`` renders with the numerators in ``_nums``
+    order, the order read.  One term out of order, and it keeps none.
     """
     terms = {}
-    factor_rows, keys = [], []  # both None once a term is out of order
+    factor_rows = []  # None once a term is out of order
     last_weight, last_codes = inf, None
     for term in data:
         mono = weight = 0
@@ -177,10 +178,9 @@ def _poly_from_json(data: list, factors: dict, ratios: dict, table: list) -> Dif
                 weight < last_weight or weight == last_weight and codes > last_codes
             ):
                 factor_rows.append(tuple(ids))
-                keys.append(mono)
                 last_weight, last_codes = weight, codes
             else:
-                factor_rows = keys = None
+                factor_rows = None
     if len(terms) != len(data):
         raise ValueError("repeated monomial")
     den = lcm(*(d for _, d in terms.values()))
@@ -188,7 +188,7 @@ def _poly_from_json(data: list, factors: dict, ratios: dict, table: list) -> Dif
     # one term needs no sort, and a render may skip it (the top 1 of a monic
     # operator), which would leave its rows held
     if factor_rows is not None and len(factor_rows) > 1:
-        p._rows = (table, factor_rows, keys)
+        p._rows = (table, factor_rows)
     return p
 
 

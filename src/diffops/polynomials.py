@@ -56,12 +56,12 @@ polynomial of its stream to the orders of y_l that later ones use, and
 drops it (None) after the last one or when the stream stops early, so no
 q_l^{(k)} outlives the stream.
 
-A polynomial may also carry ``_rows``, its terms in canonical order as
-read from a canonical JSON term list, or None.  Only
-``formats._poly_from_json`` sets them, and only ``sorted_terms`` reads
-them: its first call takes them and drops them, so they are a hand-off
-from the parse to one render, not a memo.  No computed polynomial has
-rows.
+A polynomial may also carry ``_rows``, or None: each term's factor ids
+in the order of a canonical JSON term list, whose numerators ``_nums``
+holds in that order.  Only ``formats._poly_from_json`` sets them, and
+only ``sorted_terms`` reads them: its first call takes them and drops
+them, so they are a hand-off from the parse to one render, not a memo.
+No computed polynomial has rows.
 """
 
 from __future__ import annotations
@@ -131,11 +131,6 @@ def y_id(l: int, k: int = 0) -> VarId:
 
 def c_id(m: int, j: int) -> VarId:
     return VarId(C_FAMILY, (m, j), 0)
-
-
-# The canonical form of a monomial: a tuple of (VarId, exponent) pairs,
-# sorted by VarId, exponents > 0.  The empty tuple is the monomial 1.
-Mono = tuple
 
 
 # -- packed monomial keys (see the module docstring) --------------------------
@@ -290,13 +285,45 @@ def _unpack(key: int) -> list:
     return out
 
 
-def _mono(key: int) -> Mono:
+def _mono(key: int) -> tuple:
     """The canonical tuple of a key."""
     return tuple(sorted([(_VARS[slot], exp) for slot, exp in _unpack(key)]))
 
 
 def _key_weight(key: int) -> int:
     return sum(_WEIGHTS[slot] * exp for slot, exp in _unpack(key))
+
+
+def _sorted_rows(nums: dict) -> tuple:
+    """The rows ``sorted_terms`` renders, for a numerator dict: a lookup
+    from factor id to ``(VarId, exp)``, then each term's factor ids and its
+    numerator in canonical order.  The id of v^e is rank(v) << _W | e,
+    which orders as (v, e) does; rank(v) is v's place among the variables
+    of ``nums`` in canonical order."""
+    used = sorted((_VARS[slot], slot) for slot, _ in _unpack(reduce(or_, nums, 0)))
+    base = [0] * len(_VARS)  # slot -> rank << _W
+    for i, (_, slot) in enumerate(used):
+        base[slot] = i << _W
+    weights, width, field = _WEIGHTS, _W, _FIELD
+    rows = []
+    for key, num in nums.items():
+        # _unpack, inlined: this decodes every monomial of every output
+        ids = []
+        weight = 0
+        slot = 0
+        while key:
+            skip = ((key & -key).bit_length() - 1) // width
+            key >>= skip * width
+            slot += skip
+            exp = key & field
+            ids.append(base[slot] | exp)
+            weight += weights[slot] * exp
+            key >>= width
+            slot += 1
+        ids.sort()
+        rows.append((-weight, ids, num))
+    rows.sort()  # (-weight, ids) is unique, so no num is compared
+    return lambda i: (used[i >> width][0], i & field), [r[1] for r in rows], [r[2] for r in rows]
 
 
 def _reducible_slot(key: int):
@@ -508,63 +535,25 @@ class DiffPolynomial:
         ``factor_str`` is called once per distinct factor, so terms that
         share a factor share its value.
 
-        A polynomial parsed from a canonical term list holds ``_rows``,
-        ``(table, factor_rows, keys)``: ``table`` lists the ``(VarId,
-        exp)`` factors that its parse met, and per term, in canonical
-        order, ``factor_rows`` holds its factors as ids into ``table`` and
-        ``keys`` its monomial's key.  The first call renders those rows
-        and releases them, with no decode and no sort; every later call,
-        and every polynomial without rows, decodes the keys and sorts.
+        One tail renders rows: each term's factor ids and numerator, in
+        canonical order.  The first call takes the rows of a parse,
+        ``_rows``, ``(table, factor_rows)`` with the numerators in ``_nums``
+        order; every later call, and a polynomial without rows, sorts them
+        out of ``_nums`` (``_sorted_rows``).
         """
-        rows = self._rows
-        if rows is not None:
-            self._rows = None
-            table, factor_rows, keys = rows
-            rendered = [None] * len(table)
-            for i in set(chain.from_iterable(factor_rows)):
-                rendered[i] = factor_str(*table[i])
-            text, den = rendered.__getitem__, self._den
-            return [
-                (list(map(text, ids)), num // g, den // g)
-                for ids, num in zip(factor_rows, map(self._nums.__getitem__, keys))
-                for g in (gcd(num, den),)
-            ]
-        nums = self._nums
-        # A factor v^e sorts by its code rank(v) << _W | e, which orders as
-        # the pair (v, e) does; rank(v) is v's place among the variables
-        # of this polynomial in canonical order.
-        used = sorted((_VARS[slot], slot) for slot, _ in _unpack(reduce(or_, nums, 0)))
-        base = [0] * len(_VARS)  # slot -> rank << _W
-        for i, (_, slot) in enumerate(used):
-            base[slot] = i << _W
-        weights, width, field = _WEIGHTS, _W, _FIELD
-        rows = []
-        for key, num in nums.items():
-            # _unpack, inlined: this decodes every monomial of every output
-            codes = []
-            weight = 0
-            slot = 0
-            while key:
-                skip = ((key & -key).bit_length() - 1) // width
-                key >>= skip * width
-                slot += skip
-                exp = key & field
-                codes.append(base[slot] | exp)
-                weight += weights[slot] * exp
-                key >>= width
-                slot += 1
-            codes.sort()
-            rows.append((-weight, codes, num))
-        rows.sort()  # (-weight, codes) is unique, so no num is compared
-        rendered = {
-            code: factor_str(used[code >> width][0], code & field)
-            for code in set(chain.from_iterable(row[1] for row in rows))
-        }
-        den = self._den
-        for i, (_, codes, num) in enumerate(rows):
-            g = gcd(num, den)
-            rows[i] = (list(map(rendered.__getitem__, codes)), num // g, den // g)
-        return rows
+        rows, self._rows = self._rows, None
+        if rows is None:
+            lookup, factor_rows, nums = _sorted_rows(self._nums)
+        else:
+            table, factor_rows = rows
+            lookup, nums = table.__getitem__, self._nums.values()
+        rendered = {i: factor_str(*lookup(i)) for i in set(chain.from_iterable(factor_rows))}
+        text, den = rendered.__getitem__, self._den
+        return [
+            (list(map(text, ids)), num // g, den // g)
+            for ids, num in zip(factor_rows, nums)
+            for g in (gcd(num, den),)
+        ]
 
     def __bool__(self) -> bool:
         return bool(self._nums)

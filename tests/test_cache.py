@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -457,6 +458,15 @@ def test_parsed_rows_render_as_the_sort_does_and_are_released(tmp_path, n, m):
         parsed = cache.get(n, m)
         # every polynomial of two or more terms comes with its rows
         assert all((p._rows is not None) == (len(p) > 1) for p in _polys(parsed))
+        # rows are (table, factor_rows), whose numerators are read in _nums
+        # order: the canonical order in which the computed twin sorts
+        for p, twin in zip(_polys(parsed), _polys(result)):
+            if p._rows is not None:
+                assert len(p._rows) == 2
+                assert list(p.items()) == [
+                    (tuple(factors), Fraction(num, den))
+                    for factors, num, den in twin.sorted_terms(lambda *factor: factor)
+                ]
         for p in _polys(parsed):
             unparsed = DiffPolynomial.from_nums(dict(p._nums), p._den)
             assert p.sorted_terms(factor_str) == unparsed.sorted_terms(factor_str)

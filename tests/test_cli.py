@@ -282,3 +282,25 @@ class TestExitCodes:
         assert "computation failed" in err
         assert "equation for y_2 is not triangular (n=3, m=4): it holds y_3" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["basis", "hierarchy"])
+    def test_unwritable_cache_is_reported_and_the_files_written(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        argv = (command, "--n", "3", "--m", "4", "--quiet", "--out")
+        assert run(*argv, str(tmp_path / "cached")) == 0
+        blocker = tmp_path / "cache-file"
+        blocker.write_text("occupied")
+        monkeypatch.setenv(CACHE_ENV_VAR, str(blocker))
+        capsys.readouterr()
+        assert run(*argv, str(tmp_path / "uncached")) == 0
+        assert f"cache entry {ResultCache(blocker).entry_path(3, 4)} not written" in (
+            capsys.readouterr().err
+        )
+        assert blocker.read_text() == "occupied"
+        written = {
+            path.name: path.read_bytes() for path in (tmp_path / "uncached").iterdir()
+        }
+        assert written and written == {
+            path.name: path.read_bytes() for path in (tmp_path / "cached").iterdir()
+        }
